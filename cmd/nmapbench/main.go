@@ -30,6 +30,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -286,20 +287,18 @@ func endToEndBestOf(n int, span sim.Duration) endToEnd {
 	return best
 }
 
-func timeFig12(workers int) time.Duration {
+func timeFig12(workers int) (time.Duration, error) {
 	experiments.SetParallelism(workers)
 	defer experiments.SetParallelism(0)
 	start := time.Now()
 	cells, err := experiments.Fig12And13(experiments.Quick)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nmapbench: %v\n", err)
-		os.Exit(1)
+		return 0, err
 	}
 	if len(cells) == 0 {
-		fmt.Fprintln(os.Stderr, "nmapbench: empty Fig12 matrix")
-		os.Exit(1)
+		return 0, errors.New("empty Fig12 matrix")
 	}
-	return time.Since(start)
+	return time.Since(start), nil
 }
 
 // compareBaselines checks fresh fast-bench numbers against a committed
@@ -348,19 +347,19 @@ func fig12Comparable(f fig12Times) bool {
 }
 
 // runCompare re-runs the fast benchmarks and diffs them against a
-// committed baseline. With gate set, regressions exit non-zero (the CI
-// -compare mode); without it the table is advisory (-delta, used to
-// report pgo-on/off codegen deltas).
-func runCompare(file string, bestOfN int, span sim.Duration, gate bool) {
+// committed baseline, returning the exit status. With gate set,
+// regressions exit non-zero (the CI -compare mode); without it the
+// table is advisory (-delta, used to report pgo-on/off codegen deltas).
+func runCompare(file string, bestOfN int, span sim.Duration, gate bool) int {
 	raw, err := os.ReadFile(file)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nmapbench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	var old baseline
 	if err := json.Unmarshal(raw, &old); err != nil {
 		fmt.Fprintf(os.Stderr, "nmapbench: parsing %s: %v\n", file, err)
-		os.Exit(1)
+		return 1
 	}
 	cur := baseline{
 		PGO:      pgoSetting(),
@@ -393,15 +392,16 @@ func runCompare(file string, bestOfN int, span sim.Duration, gate bool) {
 			for _, b := range bad {
 				fmt.Printf("  NOTE %s\n", b)
 			}
-			return
+			return 0
 		}
 		fmt.Fprintf(os.Stderr, "nmapbench: %d regression(s) vs %s:\n", len(bad), file)
 		for _, b := range bad {
 			fmt.Fprintf(os.Stderr, "  FAIL %s\n", b)
 		}
-		os.Exit(1)
+		return 1
 	}
 	fmt.Printf("PASS: no regressions vs %s\n", file)
+	return 0
 }
 
 // printDelta emits one baseline/current/percent-change row of the
@@ -457,30 +457,41 @@ func validateFlags(f benchFlags) error {
 	return nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command, returning its exit status instead of
+// calling os.Exit so the deferred profile writers always run: a failed
+// -compare still leaves a complete CPU profile behind.
+func run(args []string) int {
 	testing.Init() // register test.* flags so test.benchtime is settable
-	out := flag.String("o", "BENCH_sim.json", "output file")
-	parallel := flag.Int("parallel", 0,
+	fs := flag.NewFlagSet("nmapbench", flag.ContinueOnError)
+	out := fs.String("o", "BENCH_sim.json", "output file")
+	parallel := fs.Int("parallel", 0,
 		"worker count for the parallel Fig12 timing (0 = one per CPU)")
-	compare := flag.String("compare", "",
+	compare := fs.String("compare", "",
 		"compare fast benchmarks against a committed baseline FILE and exit non-zero on regression")
-	deltaFile := flag.String("delta", "",
+	deltaFile := fs.String("delta", "",
 		"like -compare but advisory: print the delta table against FILE and always exit 0 (make pgo-bench)")
-	bestOfN := flag.Int("best-of", 5,
+	bestOfN := fs.Int("best-of", 5,
 		"samples per metric: the median is recorded, the spread across samples is reported")
-	benchTime := flag.Float64("bench-time", 2,
+	benchTime := fs.Float64("bench-time", 2,
 		"simulated seconds per end-to-end throughput sample")
-	microTime := flag.Float64("micro-time", 2,
+	microTime := fs.Float64("micro-time", 2,
 		"seconds per engine-microbenchmark sample; longer samples tame scheduler noise on the ~5ns ops")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to FILE")
-	memprofile := flag.String("memprofile", "", "write a heap (allocs) profile to FILE")
-	flag.Parse()
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to FILE")
+	memprofile := fs.String("memprofile", "", "write a heap (allocs) profile to FILE")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if err := validateFlags(benchFlags{
 		parallel: *parallel, bestOf: *bestOfN,
 		benchTime: *benchTime, microTime: *microTime,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "nmapbench: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	flag.Set("test.benchtime", fmt.Sprintf("%gs", *microTime))
 	span := sim.Duration(*benchTime * float64(sim.Second))
@@ -492,11 +503,12 @@ func main() {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nmapbench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
 			fmt.Fprintf(os.Stderr, "nmapbench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -506,12 +518,10 @@ func main() {
 	defer writeMemProfile(*memprofile)
 
 	if *compare != "" {
-		runCompare(*compare, *bestOfN, span, true)
-		return
+		return runCompare(*compare, *bestOfN, span, true)
 	}
 	if *deltaFile != "" {
-		runCompare(*deltaFile, *bestOfN, span, false)
-		return
+		return runCompare(*deltaFile, *bestOfN, span, false)
 	}
 
 	workers := *parallel
@@ -534,13 +544,21 @@ func main() {
 		EndToEnd:   endToEndBestOf(*bestOfN, span),
 	}
 
-	serial := timeFig12(1)
+	serial, err := timeFig12(1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nmapbench: %v\n", err)
+		return 1
+	}
 	b.Fig12Quick = fig12Times{
 		SerialMs: float64(serial.Microseconds()) / 1000,
 		Workers:  workers,
 	}
 	if workers > 1 {
-		par := timeFig12(workers)
+		par, err := timeFig12(workers)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "nmapbench: %v\n", err)
+			return 1
+		}
 		b.Fig12Quick.ParallelMs = float64(par.Microseconds()) / 1000
 		b.Fig12Quick.Speedup = float64(serial) / float64(par)
 		if b.Fig12Quick.Speedup < 1 {
@@ -562,14 +580,14 @@ func main() {
 	f, err := os.Create(*out)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nmapbench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	defer f.Close()
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(b); err != nil {
 		fmt.Fprintf(os.Stderr, "nmapbench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Printf("engine: schedule+fire %.1f ns/op ±%.1f%% (%d allocs/op), cancel %.1f ns/op ±%.1f%% (%d allocs/op), hist P99 %.1f ns/op ±%.1f%%\n",
 		b.Engine["EngineScheduleFire"].NsPerOp, b.Engine["EngineScheduleFire"].SpreadPct, b.Engine["EngineScheduleFire"].AllocsPerOp,
@@ -590,6 +608,7 @@ func main() {
 	} else {
 		fmt.Printf("fig12 quick: serial %.0fms (%s)\n", b.Fig12Quick.SerialMs, b.Fig12Quick.Note)
 	}
+	return 0
 }
 
 // writeMemProfile snapshots the allocs profile at exit. Runs via defer

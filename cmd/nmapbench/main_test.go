@@ -1,6 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -45,4 +52,81 @@ func TestValidateFlags(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFailedCompareKeepsCPUProfile: a -compare that finds a regression
+// exits non-zero, and the CPU profile it was asked for must still be
+// flushed — every exit path returns through run's deferred
+// StopCPUProfile instead of os.Exit skipping it.
+func TestFailedCompareKeepsCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	// A baseline no host can meet: every engine op at 1 picosecond.
+	if err := os.WriteFile(base, []byte(`{"engine":{
+		"EngineScheduleFire":{"ns_per_op":0.001},
+		"EngineCancel":{"ns_per_op":0.001},
+		"HistPercentile":{"ns_per_op":0.001}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prof := filepath.Join(dir, "cpu.prof")
+	code := run([]string{"-compare", base, "-best-of", "1", "-micro-time", "0.01",
+		"-bench-time", "0.001", "-cpuprofile", prof})
+	if code != 1 {
+		t.Fatalf("-compare against an unmeetable baseline exited %d, want 1", code)
+	}
+	gz, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gz) == 0 {
+		t.Fatal("CPU profile is empty: the failing exit skipped StopCPUProfile")
+	}
+	strs, err := profileStrings(gz)
+	if err != nil {
+		t.Fatalf("CPU profile does not parse: %v", err)
+	}
+	if !strs["cpu"] || !strs["nanoseconds"] {
+		t.Fatalf("CPU profile lacks the cpu/nanoseconds sample type; string table %v", strs)
+	}
+}
+
+// profileStrings gunzips a profile.proto, checks that its top-level
+// fields are well-formed protobuf, and returns its string table (field
+// 6).
+func profileStrings(gz []byte) (map[string]bool, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		return nil, err
+	}
+	b, err := io.ReadAll(zr)
+	if err != nil {
+		return nil, err
+	}
+	strs := map[string]bool{}
+	for len(b) > 0 {
+		key, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, errors.New("bad field key")
+		}
+		b = b[n:]
+		switch key & 7 {
+		case 0: // varint
+			if _, n = binary.Uvarint(b); n <= 0 {
+				return nil, errors.New("bad varint")
+			}
+			b = b[n:]
+		case 2: // length-delimited
+			l, n := binary.Uvarint(b)
+			if n <= 0 || uint64(len(b)-n) < l {
+				return nil, errors.New("truncated field")
+			}
+			if key>>3 == 6 {
+				strs[string(b[n:n+int(l)])] = true
+			}
+			b = b[n+int(l):]
+		default:
+			return nil, errors.New("unexpected wire type")
+		}
+	}
+	return strs, nil
 }

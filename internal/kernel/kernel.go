@@ -222,7 +222,7 @@ type CoreKernel struct {
 	appCur *workload.Request
 
 	// Socket queue between the softirq Rx path and the app thread.
-	sockQ []*workload.Request
+	sockQ sockQueue
 
 	// In-flight poll-pass state, read by the pollDone completion (one
 	// exec at a time per core, so single fields suffice).
@@ -299,7 +299,7 @@ func (k *CoreKernel) Core() *cpu.Core { return k.core }
 func (k *CoreKernel) SetAuditor(a *audit.Auditor) { k.aud = a }
 
 // SockQLen returns the current socket-queue depth.
-func (k *CoreKernel) SockQLen() int { return len(k.sockQ) }
+func (k *CoreKernel) SockQLen() int { return k.sockQ.n }
 
 // AppInFlight returns how many requests the app thread currently holds
 // (dequeued from the socket queue but not yet completed).
@@ -335,7 +335,7 @@ func (k *CoreKernel) schedTick() {
 	if k.offline {
 		return
 	}
-	if k.napiScheduled && !k.inKsoftirqd && (k.appCur != nil || len(k.sockQ) > 0) {
+	if k.napiScheduled && !k.inKsoftirqd && (k.appCur != nil || k.sockQ.n > 0) {
 		k.needResched = true
 	}
 }
@@ -406,7 +406,7 @@ func (k *CoreKernel) dispatch() {
 		k.runPollPass(ownerSoftirq)
 	default:
 		ks := k.inKsoftirqd
-		app := k.appCur != nil || len(k.sockQ) > 0
+		app := k.appCur != nil || k.sockQ.n > 0
 		switch {
 		case ks && app:
 			// Round-robin: run whoever did not run last.
@@ -427,7 +427,7 @@ func (k *CoreKernel) dispatch() {
 
 func (k *CoreKernel) hasWork() bool {
 	return k.hardirqPending || k.napiScheduled || k.inKsoftirqd ||
-		k.appCur != nil || len(k.sockQ) > 0
+		k.appCur != nil || k.sockQ.n > 0
 }
 
 func (k *CoreKernel) goIdle() {
@@ -513,7 +513,7 @@ func (k *CoreKernel) onPollDone() {
 	// owned by the socket queue.
 	for _, p := range batch {
 		if p.Payload != nil {
-			if k.cfg.SockQCap > 0 && len(k.sockQ) >= k.cfg.SockQCap {
+			if k.cfg.SockQCap > 0 && k.sockQ.n >= k.cfg.SockQCap {
 				k.c.SockDrops++
 				k.aud.SockDrop(k.ID)
 				if k.OnSockDrop != nil {
@@ -521,13 +521,13 @@ func (k *CoreKernel) onPollDone() {
 				}
 			} else {
 				k.aud.SockEnq(k.ID)
-				k.sockQ = append(k.sockQ, p.Payload)
+				k.sockQ.push(p.Payload)
 			}
 		}
 		k.dev.PutPacket(p)
 	}
-	if len(k.sockQ) > k.c.MaxSockQ {
-		k.c.MaxSockQ = len(k.sockQ)
+	if k.sockQ.n > k.c.MaxSockQ {
+		k.c.MaxSockQ = k.sockQ.n
 	}
 	mode := PollingMode
 	if owner == ownerSoftirq && k.firstPass {
@@ -586,14 +586,12 @@ func (k *CoreKernel) migrateToKsoftirqd() {
 
 func (k *CoreKernel) runApp() {
 	if k.appCur == nil {
-		if len(k.sockQ) == 0 {
+		if k.sockQ.n == 0 {
 			k.goIdle()
 			return
 		}
 		k.aud.AppStart(k.ID)
-		k.appCur = k.sockQ[0]
-		copy(k.sockQ, k.sockQ[1:])
-		k.sockQ = k.sockQ[:len(k.sockQ)-1]
+		k.appCur = k.sockQ.pop()
 		k.appRem = 1
 		if k.AppCycles != nil {
 			k.appRem = k.AppCycles(k.appCur)
@@ -667,8 +665,7 @@ func (k *CoreKernel) Crash() []*workload.Request {
 	// The socket queue survives in memory: it migrates to the adoptive
 	// core, exactly like a real kernel re-homing a backlog on CPU
 	// hotplug. Hand it off rather than failing it.
-	stranded := k.sockQ
-	k.sockQ = nil
+	stranded := k.sockQ.drain()
 	// Orphan the NAPI context. If ksoftirqd owned it, the listeners see
 	// a sleep so mode-transition policies keep their wake/sleep events
 	// balanced.
@@ -698,15 +695,15 @@ func (k *CoreKernel) Crash() []*workload.Request {
 // absorb an unbounded backlog.
 func (k *CoreKernel) Adopt(rs []*workload.Request) {
 	for _, r := range rs {
-		if k.cfg.SockQCap > 0 && len(k.sockQ) >= k.cfg.SockQCap {
+		if k.cfg.SockQCap > 0 && k.sockQ.n >= k.cfg.SockQCap {
 			k.aud.CrashSockFail(k.ID)
 			k.crashFail(r)
 			continue
 		}
-		k.sockQ = append(k.sockQ, r)
+		k.sockQ.push(r)
 	}
-	if len(k.sockQ) > k.c.MaxSockQ {
-		k.c.MaxSockQ = len(k.sockQ)
+	if k.sockQ.n > k.c.MaxSockQ {
+		k.c.MaxSockQ = k.sockQ.n
 	}
 	k.dispatch()
 }

@@ -38,10 +38,24 @@ package sim
 // distribution. Enqueues feed an integer EWMA of the scheduling horizon
 // (ev.at - now); the rung count tracks the live event count and the
 // rung width tracks the average inter-event gap (horizon over live
-// count), the classic calendar-queue operating point of ~1 event per
-// occupied rung. Recalibration triggers on occupancy bounds and on
-// horizon drift, rebuilds in O(n), and is driven purely by queue state
-// — never by wall clock — so it is deterministic and replay-safe.
+// count, capped at the measured gap between fired events), the classic
+// calendar-queue operating point of ~1 event per occupied rung.
+//
+// One population rule governs every size-driven rebuild (enqueue,
+// window slide, cancel and the periodic check all ask outOfBand): the
+// live count n — rung residents plus the overflow ladder, the same
+// count calibrate sizes by — must stay inside the hysteresis band
+// nb/8 <= n <= 2*nb around the rung count nb. A rebuild picks nb so
+// that nb/4 < n <= nb/2 (or clamps at a bound), inside the band, so it
+// can never leave the queue already meeting its own trigger: the next
+// size rebuild needs the population to halve or to quadruple, which
+// keeps rebuilds amortized O(1) per operation however the live events
+// split between rungs and ladder (a fleet's far-future RTO timers sit
+// in the ladder but are sized for, so a trigger counting rung residents
+// alone would fire on every cancel). The periodic check also rebuilds
+// on width drift (ideal width ≥4x off). Rebuilds run in O(n) and are
+// driven purely by queue state — never by wall clock — so they are
+// deterministic and replay-safe.
 //
 // Occupancy bitmap: one uint64 word summarizes 64 rungs (bit set ⇔ rung
 // list non-empty), maintained by the O(1) rung link/unlink paths. The
@@ -92,6 +106,7 @@ func (e *Engine) initCalendar() {
 	e.mask = minBuckets - 1
 	e.shift = 11
 	e.ewmaH = 32 << 10
+	e.frontGap = 1 << maxShift // unmeasured until the first periodic check
 	e.curVb = 0
 	e.winEnd = minBuckets
 }
@@ -129,9 +144,9 @@ func (e *Engine) enqueue(ev *event) {
 			// scan.
 			e.minEv = ev
 		}
-		if e.nshort > 2*len(e.buckets) && len(e.buckets) < maxBuckets {
-			e.calibrate()
-		}
+	}
+	if e.outOfBand() {
+		e.calibrate()
 	}
 	// Horizon EWMA, sampled every 8th event: the drift check only reads
 	// it every 4096 fires, so a 1-in-8 systematic sample (seq-keyed —
@@ -192,12 +207,22 @@ func (e *Engine) dequeue(ev *event) {
 	}
 	if ev.bkt == bktOverflow {
 		e.overRemove(int(ev.slot))
-		return
+	} else {
+		e.bucketRemove(ev)
 	}
-	e.bucketRemove(ev)
-	if nb := len(e.buckets); nb > minBuckets && e.nshort < nb/8 {
+	if e.outOfBand() {
 		e.calibrate()
 	}
+}
+
+// outOfBand is the one population rule behind every size-driven
+// rebuild: it reports whether the live count (rung residents plus the
+// overflow ladder — exactly what calibrate sizes by) has left the
+// hysteresis band nb/8 <= n <= 2*nb of the current rung count nb, in a
+// direction the rung bounds still allow a rebuild to follow.
+func (e *Engine) outOfBand() bool {
+	n, nb := e.nshort+len(e.over), len(e.buckets)
+	return (n > 2*nb && nb < maxBuckets) || (n < nb/8 && nb > minBuckets)
 }
 
 // peekMin returns the strict (at, seq) minimum without removing it, or
@@ -313,28 +338,26 @@ func (e *Engine) advanceWindow() {
 		ev := e.overRemove(0)
 		e.bucketPut(ev, int64(ev.at)>>e.shift)
 	}
-	if e.nshort > 2*len(e.buckets) && len(e.buckets) < maxBuckets {
+	if e.outOfBand() {
 		e.calibrate()
 	}
 }
 
-// maybeRecalibrate is the periodic drift check (every 4096 fires): a
-// rebuild runs when the rung count is far off the live event count or
-// the rung width is ≥4x off the horizon EWMA's ideal. Pure queue state,
-// no wall clock — deterministic.
+// maybeRecalibrate is the periodic drift check (every 4096 fires): it
+// measures the mean gap between the period's fired events, and a
+// rebuild runs when the live count has left the rung count's band
+// (outOfBand — pops never check it themselves) or the rung width is ≥4x
+// off idealShift's. Pure queue state — simulated time and fire counts,
+// no wall clock — so deterministic.
 func (e *Engine) maybeRecalibrate() {
-	nb := len(e.buckets)
-	if nb == 0 {
-		return
-	}
+	e.frontGap = int64(e.now-e.checkAt) / (recalPeriod + 1)
+	e.checkAt = e.now
 	ideal := int(e.idealShift(int64(e.nshort + len(e.over))))
 	d := ideal - int(e.shift)
 	if d < 0 {
 		d = -d
 	}
-	if d >= 2 ||
-		(nb > minBuckets && e.nshort < nb/8) ||
-		(nb < maxBuckets && e.nshort > 2*nb) {
+	if d >= 2 || e.outOfBand() {
 		e.calibrate()
 	}
 }
@@ -348,6 +371,17 @@ func (e *Engine) maybeRecalibrate() {
 // not so narrow that pops walk long runs of empties (sizing against the
 // rung count with its 256 floor did exactly that: a near-empty queue
 // got rungs gap/64 wide and every pop walked dozens of them).
+//
+// The horizon average assumes pending events spread evenly over it. A
+// bimodal population breaks that: a fleet's 5ms RTO timers inflate the
+// horizon while the dispatch front is dense, and a width sized by the
+// average piles several events into every front rung, which each pop
+// then rescans. So the width of a large queue is capped at the measured
+// mean gap between fired events over the last check period (frontGap):
+// narrower rungs are nearly free to skip through the occupancy bitmap.
+// A small queue (rung count at its floor) keeps the average: its front
+// rungs are short anyway, and the cap would shrink its already short
+// window until its own timers cycle through the overflow ladder.
 func (e *Engine) idealShift(n int64) uint {
 	if n < 1 {
 		n = 1
@@ -357,15 +391,21 @@ func (e *Engine) idealShift(n int64) uint {
 	for s < maxShift && n<<s < want {
 		s++
 	}
+	if n > minBuckets/2 {
+		for s > minShift && int64(1)<<(s-1) >= e.frontGap {
+			s--
+		}
+	}
 	return s
 }
 
 // calibrate rebuilds the calendar to the current event population:
-// rung count tracking the live count, width from the horizon EWMA, the
+// rung count tracking the live count, width from idealShift, the
 // window re-anchored at the earliest pending event. O(n); event records
 // are relinked in place and the rung-head array only grows past its
 // high-water mark, so steady-state rebuilds never allocate.
 func (e *Engine) calibrate() {
+	e.rebuilds++
 	all := e.scratch[:0]
 	// The occupancy bitmap names exactly the non-empty rungs, so the
 	// collection pass touches one word per 64 rungs plus one probe per

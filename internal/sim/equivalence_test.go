@@ -9,8 +9,10 @@ import (
 // scheduler with a randomized equivalence test: both schedulers are
 // driven with identical schedule / cancel / reschedule streams —
 // including stale-handle no-ops, same-instant bursts, far-future
-// overflow events, and pool reuse — and must produce identical firing
-// order and Pending() counts at every step.
+// overflow events, pool reuse, and the hedged-fleet mix (thousands of
+// ladder-resident timeouts under short-timer cancel churn, which holds
+// the rung array at thousands of rungs) — and must produce identical
+// firing order and Pending() counts at every step.
 //
 // refHeap below is the seed's hand-inlined binary heap (O(log n) sift,
 // eager removeAt by stored index, pooled records with generation-checked
@@ -299,9 +301,18 @@ func TestSchedulerEquivalence(t *testing.T) {
 		tr.argFn = func(a any) { tr.got = append(tr.got, a.(int)) }
 
 		nextID := 0
+		// Client timeouts far past the trial's reach: they stay in the
+		// overflow ladder until the final drain, but the rung array is
+		// sized for them.
+		const timeouts = 3000
+		for i := 0; i < timeouts; i++ {
+			tr.schedule(Time(1<<30+rng.Int63n(1<<30)), nextID, false)
+			nextID++
+		}
+		var hedges []int // churn timers not yet cancelled, oldest first
 		const ops = 8000
 		for i := 0; i < ops; i++ {
-			switch op := rng.Intn(16); {
+			switch op := rng.Intn(18); {
 			case op < 9: // schedule with a mixed-horizon delta
 				var d int64
 				switch rng.Intn(8) {
@@ -357,9 +368,32 @@ func TestSchedulerEquivalence(t *testing.T) {
 				if p.rhSet && p.rh.pending() {
 					t.Fatalf("stale reference handle reports pending")
 				}
-			default: // advance virtual time, firing everything due
+			case op < 16: // advance virtual time, firing everything due
 				tr.advance(tr.eng.Now() + Time(rng.Int63n(1<<20)))
+			default: // hedge churn: arm a short timer, cancel the oldest still pending
+				tr.schedule(tr.eng.Now()+Time(rng.Int63n(1<<14)), nextID, false)
+				hedges = append(hedges, nextID)
+				nextID++
+				for len(hedges) > 0 {
+					id := hedges[0]
+					hedges = hedges[1:]
+					if p, ok := tr.live[id]; ok && p.ev.Pending() { // else fired or cancelled by another op
+						if !p.ev.Cancel() || !tr.ref.cancel(p.rh) {
+							t.Fatalf("hedge cancel of live id %d diverged", id)
+						}
+						tr.liveDrop(id)
+						tr.checkPending()
+						break
+					}
+				}
+				if rng.Intn(4) == 0 {
+					tr.advance(tr.eng.Now() + Time(rng.Int63n(1<<12)))
+				}
 			}
+		}
+
+		if nb := len(tr.eng.buckets); nb < 4096 {
+			t.Fatalf("seed %d: rung array at %d rungs before the drain; the timeout mix should hold it at thousands", seed, nb)
 		}
 
 		// Drain both queues completely and compare the full history.
