@@ -38,8 +38,8 @@ package sim
 // distribution. Enqueues feed an integer EWMA of the scheduling horizon
 // (ev.at - now); the rung count tracks the live event count and the
 // rung width tracks the average inter-event gap (horizon over live
-// count, capped at the measured gap between fired events), the classic
-// calendar-queue operating point of ~1 event per occupied rung.
+// count), the classic calendar-queue operating point of ~1 event per
+// occupied rung.
 //
 // One population rule governs every size-driven rebuild (enqueue,
 // window slide, cancel and the periodic check all ask outOfBand): the
@@ -106,7 +106,6 @@ func (e *Engine) initCalendar() {
 	e.mask = minBuckets - 1
 	e.shift = 11
 	e.ewmaH = 32 << 10
-	e.frontGap = 1 << maxShift // unmeasured until the first periodic check
 	e.curVb = 0
 	e.winEnd = minBuckets
 }
@@ -343,15 +342,12 @@ func (e *Engine) advanceWindow() {
 	}
 }
 
-// maybeRecalibrate is the periodic drift check (every 4096 fires): it
-// measures the mean gap between the period's fired events, and a
+// maybeRecalibrate is the periodic drift check (every 4096 fires): a
 // rebuild runs when the live count has left the rung count's band
 // (outOfBand — pops never check it themselves) or the rung width is ≥4x
-// off idealShift's. Pure queue state — simulated time and fire counts,
-// no wall clock — so deterministic.
+// off the horizon EWMA's ideal. Pure queue state, no wall clock —
+// deterministic.
 func (e *Engine) maybeRecalibrate() {
-	e.frontGap = int64(e.now-e.checkAt) / (recalPeriod + 1)
-	e.checkAt = e.now
 	ideal := int(e.idealShift(int64(e.nshort + len(e.over))))
 	d := ideal - int(e.shift)
 	if d < 0 {
@@ -371,17 +367,6 @@ func (e *Engine) maybeRecalibrate() {
 // not so narrow that pops walk long runs of empties (sizing against the
 // rung count with its 256 floor did exactly that: a near-empty queue
 // got rungs gap/64 wide and every pop walked dozens of them).
-//
-// The horizon average assumes pending events spread evenly over it. A
-// bimodal population breaks that: a fleet's 5ms RTO timers inflate the
-// horizon while the dispatch front is dense, and a width sized by the
-// average piles several events into every front rung, which each pop
-// then rescans. So the width of a large queue is capped at the measured
-// mean gap between fired events over the last check period (frontGap):
-// narrower rungs are nearly free to skip through the occupancy bitmap.
-// A small queue (rung count at its floor) keeps the average: its front
-// rungs are short anyway, and the cap would shrink its already short
-// window until its own timers cycle through the overflow ladder.
 func (e *Engine) idealShift(n int64) uint {
 	if n < 1 {
 		n = 1
@@ -391,16 +376,11 @@ func (e *Engine) idealShift(n int64) uint {
 	for s < maxShift && n<<s < want {
 		s++
 	}
-	if n > minBuckets/2 {
-		for s > minShift && int64(1)<<(s-1) >= e.frontGap {
-			s--
-		}
-	}
 	return s
 }
 
 // calibrate rebuilds the calendar to the current event population:
-// rung count tracking the live count, width from idealShift, the
+// rung count tracking the live count, width from the horizon EWMA, the
 // window re-anchored at the earliest pending event. O(n); event records
 // are relinked in place and the rung-head array only grows past its
 // high-water mark, so steady-state rebuilds never allocate.

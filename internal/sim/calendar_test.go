@@ -59,35 +59,3 @@ func TestCancelChurnDoesNotThrashCalibration(t *testing.T) {
 		t.Fatalf("%d events pending after cancelling every timeout", p)
 	}
 }
-
-// TestWidthCappedAtFrontGap: a bimodal population — a dense dispatch
-// front under hundreds of 5ms timers that dominate the scheduling
-// horizon average — must still get rungs no wider than about the
-// measured gap between fired events. Sized by the horizon average
-// alone, every front rung would hold all 64 chains and each pop would
-// rescan them.
-func TestWidthCappedAtFrontGap(t *testing.T) {
-	e := NewEngine()
-	const chains = 64
-	const period = 4 * Microsecond
-	var rtos []Event
-	for c := 0; c < chains; c++ {
-		var tick func()
-		tick = func() {
-			rtos = append(rtos, e.Schedule(5*Millisecond, func() {}))
-			if len(rtos) > 512 {
-				rtos[0].Cancel()
-				rtos = rtos[1:]
-			}
-			e.Schedule(period, tick)
-		}
-		e.Schedule(Duration(c)*period/chains, tick)
-	}
-	e.Run(Time(20 * Millisecond))
-
-	gap := period / chains
-	if w := Duration(1) << e.shift; w > 2*gap {
-		t.Fatalf("rung width %v is %dx the %v gap between fired events",
-			w, int64(w/gap), gap)
-	}
-}

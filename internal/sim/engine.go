@@ -171,11 +171,9 @@ type Engine struct {
 	// ends, nshort the number of rung-resident events, and minEv caches
 	// the queue minimum between operations. over is the overflow ladder
 	// for events beyond the window; ewmaH the integer EWMA of the
-	// scheduling horizon that drives calibration; frontGap the mean
-	// gap between fired events over the last periodic check (which ran
-	// at checkAt), capping the rung width; scratch a reusable buffer
-	// for rebuilds; rebuilds counts calibrations (read only by the
-	// package tests that pin the rebuild rate).
+	// scheduling horizon that drives calibration; scratch a reusable
+	// buffer for rebuilds; rebuilds counts calibrations (read only by
+	// the package tests that pin the rebuild rate).
 	buckets  []*event // the live rung heads: allRungs[:nb]
 	allRungs []*event // high-water backing so recalibration never allocates in steady state
 	occ      []uint64 // rung occupancy bitmap: bit p set iff buckets[p] != nil; allOcc[:nb/64]
@@ -188,8 +186,6 @@ type Engine struct {
 	minEv    *event
 	over     []*event
 	ewmaH    int64
-	frontGap int64
-	checkAt  Time
 	scratch  []*event
 	rebuilds uint64
 

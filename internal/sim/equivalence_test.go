@@ -9,10 +9,13 @@ import (
 // scheduler with a randomized equivalence test: both schedulers are
 // driven with identical schedule / cancel / reschedule streams —
 // including stale-handle no-ops, same-instant bursts, far-future
-// overflow events, pool reuse, and the hedged-fleet mix (thousands of
-// ladder-resident timeouts under short-timer cancel churn, which holds
-// the rung array at thousands of rungs) — and must produce identical
-// firing order and Pending() counts at every step.
+// overflow events, pool reuse and short-timer cancel churn — and must
+// produce identical firing order and Pending() counts at every step.
+// Each seed's stream runs in three regimes (eqRegime): from an empty
+// queue at the rung floor, under the hedged-fleet mix of thousands of
+// ladder-resident timeouts that hold the rung array at thousands of
+// rungs, and under that mix released mid-stream so the cancel path
+// shrinks the array back to the floor.
 //
 // refHeap below is the seed's hand-inlined binary heap (O(log n) sift,
 // eager removeAt by stored index, pooled records with generation-checked
@@ -289,121 +292,174 @@ func (tr *eqTrial) checkPending() {
 	}
 }
 
-func TestSchedulerEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 2, 7, 42, 1337} {
-		rng := rand.New(rand.NewSource(seed))
-		tr := &eqTrial{
-			t:    t,
-			eng:  NewEngine(),
-			ref:  &refHeap{},
-			live: map[int]*pairH{},
-		}
-		tr.argFn = func(a any) { tr.got = append(tr.got, a.(int)) }
+// eqRegime sets the queue population an equivalence trial's op stream
+// runs against.
+type eqRegime struct {
+	name     string
+	timeouts int  // far-future client timeouts scheduled before the first op
+	release  bool // cancel every remaining timeout halfway through the ops
+}
 
-		nextID := 0
-		// Client timeouts far past the trial's reach: they stay in the
-		// overflow ladder until the final drain, but the rung array is
-		// sized for them.
-		const timeouts = 3000
-		for i := 0; i < timeouts; i++ {
-			tr.schedule(Time(1<<30+rng.Int63n(1<<30)), nextID, false)
-			nextID++
+func TestSchedulerEquivalence(t *testing.T) {
+	regimes := []eqRegime{
+		// From an empty queue: the stream stays at the 256-rung floor.
+		{name: "empty"},
+		// The hedged-fleet mix: the timeouts sit in the overflow ladder
+		// until the final drain, but the rung array is sized for them, so
+		// the whole stream runs at thousands of rungs under cancel churn.
+		{name: "fleet", timeouts: 3000},
+		// The fleet mix, then its timeouts all cancelled mid-stream: the
+		// cancel path shrinks the array rebuild by rebuild back to the
+		// floor, and the stream carries on at the small sizes.
+		{name: "fleet-release", timeouts: 3000, release: true},
+	}
+	for _, seed := range []int64{1, 2, 7, 42, 1337} {
+		for _, rg := range regimes {
+			runEquivalenceTrial(t, seed, rg)
 		}
-		var hedges []int // churn timers not yet cancelled, oldest first
-		const ops = 8000
-		for i := 0; i < ops; i++ {
-			switch op := rng.Intn(18); {
-			case op < 9: // schedule with a mixed-horizon delta
-				var d int64
-				switch rng.Intn(8) {
-				case 0: // same-instant burst
-					d = 0
-				case 1, 2, 3: // short ITR/poll-tick horizon
-					d = rng.Int63n(4096)
-				case 4, 5: // medium
-					d = rng.Int63n(1 << 16)
-				case 6: // long
-					d = rng.Int63n(1 << 22)
-				default: // far future: lands in the overflow ladder
-					d = rng.Int63n(1 << 30)
-				}
-				at := tr.eng.Now() + Time(d)
-				if rng.Intn(32) == 0 {
-					at = tr.eng.Now() - Time(rng.Int63n(1000)) // past: clamps to now
-				}
-				tr.schedule(at, nextID, rng.Intn(4) == 0)
-				nextID++
-			case op < 11: // cancel a random live event
-				if len(tr.liveIDs) == 0 {
-					continue
-				}
-				id := tr.liveIDs[rng.Intn(len(tr.liveIDs))]
-				p := tr.live[id]
-				ec, rc := p.ev.Cancel(), tr.ref.cancel(p.rh)
-				if !ec || !rc {
-					t.Fatalf("cancel of live id %d: engine=%v reference=%v", id, ec, rc)
-				}
-				tr.liveDrop(id)
-				tr.checkPending()
-			case op < 12: // reschedule: cancel + fresh schedule at a new instant
-				if len(tr.liveIDs) == 0 {
-					continue
-				}
-				id := tr.liveIDs[rng.Intn(len(tr.liveIDs))]
-				p := tr.live[id]
-				if p.ev.Cancel() != tr.ref.cancel(p.rh) {
-					t.Fatalf("reschedule-cancel of id %d diverged", id)
-				}
-				tr.liveDrop(id)
-				tr.schedule(tr.eng.Now()+Time(rng.Int63n(1<<18)), nextID, false)
-				nextID++
-			case op < 14: // stale-handle no-ops against fired/cancelled events
-				if len(tr.stale) == 0 {
-					continue
-				}
-				p := tr.stale[rng.Intn(len(tr.stale))]
-				if p.evSet && (p.ev.Cancel() || p.ev.Pending() || p.ev.At() != 0) {
-					t.Fatalf("stale engine handle is not inert")
-				}
-				if p.rhSet && p.rh.pending() {
-					t.Fatalf("stale reference handle reports pending")
-				}
-			case op < 16: // advance virtual time, firing everything due
-				tr.advance(tr.eng.Now() + Time(rng.Int63n(1<<20)))
-			default: // hedge churn: arm a short timer, cancel the oldest still pending
-				tr.schedule(tr.eng.Now()+Time(rng.Int63n(1<<14)), nextID, false)
-				hedges = append(hedges, nextID)
-				nextID++
-				for len(hedges) > 0 {
-					id := hedges[0]
-					hedges = hedges[1:]
-					if p, ok := tr.live[id]; ok && p.ev.Pending() { // else fired or cancelled by another op
-						if !p.ev.Cancel() || !tr.ref.cancel(p.rh) {
-							t.Fatalf("hedge cancel of live id %d diverged", id)
-						}
-						tr.liveDrop(id)
-						tr.checkPending()
-						break
+	}
+}
+
+// runEquivalenceTrial drives one randomized lockstep trial in regime rg
+// and checks the trial covered the rung counts the regime is for.
+func runEquivalenceTrial(t *testing.T, seed int64, rg eqRegime) {
+	rng := rand.New(rand.NewSource(seed))
+	tr := &eqTrial{
+		t:    t,
+		eng:  NewEngine(),
+		ref:  &refHeap{},
+		live: map[int]*pairH{},
+	}
+	tr.argFn = func(a any) { tr.got = append(tr.got, a.(int)) }
+
+	nextID := 0
+	for i := 0; i < rg.timeouts; i++ {
+		tr.schedule(Time(1<<30+rng.Int63n(1<<30)), nextID, false)
+		nextID++
+	}
+	// Rung counts seen between ops, and how many ops found the array
+	// shrunk since the one before.
+	minNB, maxNB := len(tr.eng.buckets), len(tr.eng.buckets)
+	prevNB, shrinks := len(tr.eng.buckets), 0
+	var hedges []int // churn timers not yet cancelled, oldest first
+	const ops = 8000
+	for i := 0; i < ops; i++ {
+		if rg.release && i == ops/2 {
+			for id := 0; id < rg.timeouts; id++ {
+				if p, ok := tr.live[id]; ok && p.ev.Pending() { // else cancelled by another op
+					if !p.ev.Cancel() || !tr.ref.cancel(p.rh) {
+						t.Fatalf("seed %d %s: timeout cancel of live id %d diverged", seed, rg.name, id)
 					}
-				}
-				if rng.Intn(4) == 0 {
-					tr.advance(tr.eng.Now() + Time(rng.Int63n(1<<12)))
+					tr.liveDrop(id)
+					tr.checkPending()
 				}
 			}
 		}
+		nb := len(tr.eng.buckets)
+		minNB, maxNB = min(minNB, nb), max(maxNB, nb)
+		if nb < prevNB {
+			shrinks++
+		}
+		prevNB = nb
+		switch op := rng.Intn(18); {
+		case op < 9: // schedule with a mixed-horizon delta
+			var d int64
+			switch rng.Intn(8) {
+			case 0: // same-instant burst
+				d = 0
+			case 1, 2, 3: // short ITR/poll-tick horizon
+				d = rng.Int63n(4096)
+			case 4, 5: // medium
+				d = rng.Int63n(1 << 16)
+			case 6: // long
+				d = rng.Int63n(1 << 22)
+			default: // far future: lands in the overflow ladder
+				d = rng.Int63n(1 << 30)
+			}
+			at := tr.eng.Now() + Time(d)
+			if rng.Intn(32) == 0 {
+				at = tr.eng.Now() - Time(rng.Int63n(1000)) // past: clamps to now
+			}
+			tr.schedule(at, nextID, rng.Intn(4) == 0)
+			nextID++
+		case op < 11: // cancel a random live event
+			if len(tr.liveIDs) == 0 {
+				continue
+			}
+			id := tr.liveIDs[rng.Intn(len(tr.liveIDs))]
+			p := tr.live[id]
+			ec, rc := p.ev.Cancel(), tr.ref.cancel(p.rh)
+			if !ec || !rc {
+				t.Fatalf("cancel of live id %d: engine=%v reference=%v", id, ec, rc)
+			}
+			tr.liveDrop(id)
+			tr.checkPending()
+		case op < 12: // reschedule: cancel + fresh schedule at a new instant
+			if len(tr.liveIDs) == 0 {
+				continue
+			}
+			id := tr.liveIDs[rng.Intn(len(tr.liveIDs))]
+			p := tr.live[id]
+			if p.ev.Cancel() != tr.ref.cancel(p.rh) {
+				t.Fatalf("reschedule-cancel of id %d diverged", id)
+			}
+			tr.liveDrop(id)
+			tr.schedule(tr.eng.Now()+Time(rng.Int63n(1<<18)), nextID, false)
+			nextID++
+		case op < 14: // stale-handle no-ops against fired/cancelled events
+			if len(tr.stale) == 0 {
+				continue
+			}
+			p := tr.stale[rng.Intn(len(tr.stale))]
+			if p.evSet && (p.ev.Cancel() || p.ev.Pending() || p.ev.At() != 0) {
+				t.Fatalf("stale engine handle is not inert")
+			}
+			if p.rhSet && p.rh.pending() {
+				t.Fatalf("stale reference handle reports pending")
+			}
+		case op < 16: // advance virtual time, firing everything due
+			tr.advance(tr.eng.Now() + Time(rng.Int63n(1<<20)))
+		default: // hedge churn: arm a short timer, cancel the oldest still pending
+			tr.schedule(tr.eng.Now()+Time(rng.Int63n(1<<14)), nextID, false)
+			hedges = append(hedges, nextID)
+			nextID++
+			for len(hedges) > 0 {
+				id := hedges[0]
+				hedges = hedges[1:]
+				if p, ok := tr.live[id]; ok && p.ev.Pending() { // else fired or cancelled by another op
+					if !p.ev.Cancel() || !tr.ref.cancel(p.rh) {
+						t.Fatalf("hedge cancel of live id %d diverged", id)
+					}
+					tr.liveDrop(id)
+					tr.checkPending()
+					break
+				}
+			}
+			if rng.Intn(4) == 0 {
+				tr.advance(tr.eng.Now() + Time(rng.Int63n(1<<12)))
+			}
+		}
+	}
 
-		if nb := len(tr.eng.buckets); nb < 4096 {
-			t.Fatalf("seed %d: rung array at %d rungs before the drain; the timeout mix should hold it at thousands", seed, nb)
-		}
+	switch {
+	case rg.timeouts > 0 && !rg.release && minNB < 2048:
+		t.Fatalf("seed %d %s: rung array down to %d rungs; the timeout mix should hold it at thousands for the whole stream",
+			seed, rg.name, minNB)
+	case rg.timeouts > 0 && rg.release && (shrinks == 0 || maxNB < 2048):
+		t.Fatalf("seed %d %s: rung array ran at %d..%d rungs with %d shrinks; releasing the timeouts should shrink it from thousands",
+			seed, rg.name, minNB, maxNB, shrinks)
+	case (rg.timeouts == 0 || rg.release) && minNB != minBuckets:
+		t.Fatalf("seed %d %s: rung array never reached the %d-rung floor (ran at %d..%d)",
+			seed, rg.name, minBuckets, minNB, maxNB)
+	}
 
-		// Drain both queues completely and compare the full history.
-		tr.advance(Time(1) << 62)
-		if tr.eng.Pending() != 0 || len(tr.ref.heap) != 0 {
-			t.Fatalf("seed %d: queues not empty after drain: engine=%d reference=%d",
-				seed, tr.eng.Pending(), len(tr.ref.heap))
-		}
-		if len(tr.got) == 0 {
-			t.Fatalf("seed %d: trial fired no events", seed)
-		}
+	// Drain both queues completely and compare the full history.
+	tr.advance(Time(1) << 62)
+	if tr.eng.Pending() != 0 || len(tr.ref.heap) != 0 {
+		t.Fatalf("seed %d: queues not empty after drain: engine=%d reference=%d",
+			seed, tr.eng.Pending(), len(tr.ref.heap))
+	}
+	if len(tr.got) == 0 {
+		t.Fatalf("seed %d: trial fired no events", seed)
 	}
 }
