@@ -41,9 +41,8 @@ package sim
 // count), the classic calendar-queue operating point of ~1 event per
 // occupied rung.
 //
-// One population rule governs every size-driven rebuild (enqueue,
-// window slide, cancel and the periodic check all ask outOfBand): the
-// live count n — rung residents plus the overflow ladder, the same
+// One population rule governs every size-driven rebuild: the live
+// count n — rung residents plus the overflow ladder (Pending), the same
 // count calibrate sizes by — must stay inside the hysteresis band
 // nb/8 <= n <= 2*nb around the rung count nb. A rebuild picks nb so
 // that nb/4 < n <= nb/2 (or clamps at a bound), inside the band, so it
@@ -52,10 +51,16 @@ package sim
 // keeps rebuilds amortized O(1) per operation however the live events
 // split between rungs and ladder (a fleet's far-future RTO timers sit
 // in the ladder but are sized for, so a trigger counting rung residents
-// alone would fire on every cancel). The periodic check also rebuilds
-// on width drift (ideal width ≥4x off). Rebuilds run in O(n) and are
-// driven purely by queue state — never by wall clock — so they are
-// deterministic and replay-safe.
+// alone would fire on every cancel). Each side of the band is checked
+// where n moves that way: the grow side on every enqueue (the only
+// operation that raises n; a window slide only moves events from the
+// ladder into rungs), the shrink side on every cancel and, for pops,
+// at the periodic check, which keeps the fire path free of checks. An
+// enqueue does not rebuild for a shrink left behind by earlier pops:
+// that would size the window at the trough just as a burst arrives.
+// The periodic check also rebuilds on width drift (ideal width ≥4x
+// off). Rebuilds run in O(n) and are driven purely by queue state —
+// never by wall clock — so they are deterministic and replay-safe.
 //
 // Occupancy bitmap: one uint64 word summarizes 64 rungs (bit set ⇔ rung
 // list non-empty), maintained by the O(1) rung link/unlink paths. The
@@ -144,7 +149,7 @@ func (e *Engine) enqueue(ev *event) {
 			e.minEv = ev
 		}
 	}
-	if e.outOfBand() {
+	if nb := len(e.buckets); e.Pending() > 2*nb && nb < maxBuckets {
 		e.calibrate()
 	}
 	// Horizon EWMA, sampled every 8th event: the drift check only reads
@@ -209,19 +214,18 @@ func (e *Engine) dequeue(ev *event) {
 	} else {
 		e.bucketRemove(ev)
 	}
-	if e.outOfBand() {
+	if e.underfull() {
 		e.calibrate()
 	}
 }
 
-// outOfBand is the one population rule behind every size-driven
-// rebuild: it reports whether the live count (rung residents plus the
-// overflow ladder — exactly what calibrate sizes by) has left the
-// hysteresis band nb/8 <= n <= 2*nb of the current rung count nb, in a
-// direction the rung bounds still allow a rebuild to follow.
-func (e *Engine) outOfBand() bool {
-	n, nb := e.nshort+len(e.over), len(e.buckets)
-	return (n > 2*nb && nb < maxBuckets) || (n < nb/8 && nb > minBuckets)
+// underfull is the shrink side of the population rule (see the file
+// comment): the live count — Pending, rung residents plus the overflow
+// ladder, exactly what calibrate sizes by — has fallen below an eighth
+// of the rung count, and the rung floor still allows a shrink.
+func (e *Engine) underfull() bool {
+	nb := len(e.buckets)
+	return e.Pending() < nb/8 && nb > minBuckets
 }
 
 // peekMin returns the strict (at, seq) minimum without removing it, or
@@ -331,29 +335,27 @@ func (e *Engine) rungMin(x *event, vb int64) *event {
 // advanceWindow slides the insert window forward to the cursor and
 // migrates overflow events that fell into range. Each event migrates at
 // most once per calibration epoch, so the cost is amortized O(1).
+// Migration moves events from the ladder into rungs without changing
+// the live count, so a slide never calls for a size rebuild.
 func (e *Engine) advanceWindow() {
 	e.winEnd = e.curVb + int64(len(e.buckets))
 	for len(e.over) > 0 && int64(e.over[0].at)>>e.shift < e.winEnd {
 		ev := e.overRemove(0)
 		e.bucketPut(ev, int64(ev.at)>>e.shift)
 	}
-	if e.outOfBand() {
-		e.calibrate()
-	}
 }
 
 // maybeRecalibrate is the periodic drift check (every 4096 fires): a
-// rebuild runs when the live count has left the rung count's band
-// (outOfBand — pops never check it themselves) or the rung width is ≥4x
-// off the horizon EWMA's ideal. Pure queue state, no wall clock —
-// deterministic.
+// rebuild runs when pops have left the queue underfull (the fire path
+// never checks it itself) or the rung width is ≥4x off the horizon
+// EWMA's ideal. Pure queue state, no wall clock — deterministic.
 func (e *Engine) maybeRecalibrate() {
-	ideal := int(e.idealShift(int64(e.nshort + len(e.over))))
+	ideal := int(e.idealShift(int64(e.Pending())))
 	d := ideal - int(e.shift)
 	if d < 0 {
 		d = -d
 	}
-	if d >= 2 || e.outOfBand() {
+	if d >= 2 || e.underfull() {
 		e.calibrate()
 	}
 }
