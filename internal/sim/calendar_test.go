@@ -59,3 +59,31 @@ func TestCancelChurnDoesNotThrashCalibration(t *testing.T) {
 		t.Fatalf("%d events pending after cancelling every timeout", p)
 	}
 }
+
+// TestShrinkWaitsForCancelOrPeriodicCheck: pops that drop the live
+// count below an eighth of the rung count do not rebuild, and neither
+// does the next enqueue — rebuilding there would size the window at the
+// trough just as a burst arrives. The next cancel does shrink the array.
+func TestShrinkWaitsForCancelOrPeriodicCheck(t *testing.T) {
+	e := NewEngine()
+	const n = 1000
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = e.Schedule(Duration(i+1)*Microsecond, func() {})
+	}
+	nb := len(e.buckets)
+	e.Run(Time(n-50) * Time(Microsecond))
+	if p := e.Pending(); p >= nb/8 {
+		t.Fatalf("%d events pending on %d rungs: the pops did not reach the shrink threshold", p, nb)
+	}
+	rb := e.rebuilds
+	e.Schedule(Millisecond, func() {})
+	if e.rebuilds != rb || len(e.buckets) != nb {
+		t.Fatalf("an enqueue rebuilt the queue (%d -> %d rungs) for a shrink left by pops", nb, len(e.buckets))
+	}
+	evs[n-1].Cancel()
+	if e.rebuilds != rb+1 || len(e.buckets) >= nb {
+		t.Fatalf("a cancel below the shrink threshold left %d rungs after %d rebuilds (was %d rungs)",
+			len(e.buckets), e.rebuilds-rb, nb)
+	}
+}
