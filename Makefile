@@ -11,9 +11,9 @@ GO ?= go
 PGO = default.pgo
 PGOFLAG = $(if $(wildcard $(PGO)),-pgo=$(PGO),)
 
-.PHONY: ci vet govulncheck build test race bench bench-compare fault-smoke failover-smoke cluster-smoke gray-smoke determinism-gate fuzz-smoke checkpoint-smoke chaos-smoke pgo pgo-smoke pgo-bench profile clean
+.PHONY: ci vet govulncheck build test race bench bench-compare golden golden-digests golden-gate fault-smoke failover-smoke cluster-smoke gray-smoke determinism-gate fuzz-smoke checkpoint-smoke chaos-smoke pgo pgo-smoke pgo-bench profile clean
 
-ci: vet govulncheck build race fault-smoke failover-smoke cluster-smoke gray-smoke determinism-gate fuzz-smoke checkpoint-smoke chaos-smoke pgo-smoke bench-compare
+ci: vet govulncheck build race golden-gate fault-smoke failover-smoke cluster-smoke gray-smoke determinism-gate fuzz-smoke checkpoint-smoke chaos-smoke pgo-smoke bench-compare
 
 # Fault-injection smoke matrix: the loss/retry/throttle/watchdog paths
 # run under the race detector, then one figure regenerates end to end
@@ -92,6 +92,41 @@ determinism-gate:
 	./.gate-nmapsim -quick -faults $(FAULT_SPEC) -rto 20ms -audit fig9 > .gate-c.txt
 	cmp .gate-a.txt .gate-c.txt
 	rm -f .gate-nmapsim .gate-a.txt .gate-b.txt .gate-c.txt
+
+# Golden-output gate: one SHA-256 per "== ... ==" section of the quick
+# reproduction (`nmapsim -quick all`) and of three faulted runs — the
+# soft-fault and hard-fault fig9 specs above and a fleet under link
+# faults — so both the fault grammar and the fault scheduler are held
+# to byte-identical physics. `make golden-gate` recomputes the digests
+# and diffs them against the committed $(GOLDEN), naming every section
+# that moved. `make golden` rewrites $(GOLDEN); run it only for an
+# intended physics change, and name that change in CHANGES.md.
+GOLDEN = testdata/golden-quick.sha256
+GRAY_SPEC = partition=1|fe@250ms:100ms,linkslow=2@300ms:50ms:8,linkloss=1@400ms:50ms:0.05
+golden-digests:
+	$(GO) build -o .golden-nmapsim ./cmd/nmapsim
+	rm -rf .golden && mkdir .golden
+	./.golden-nmapsim -quick all > .golden/all
+	./.golden-nmapsim -quick -faults '$(FAULT_SPEC)' -rto 20ms fig9 > .golden/fault-fig9
+	./.golden-nmapsim -quick -faults '$(CRASH_SPEC)' -rto 20ms fig9 > .golden/crash-fig9
+	./.golden-nmapsim -quick -nodes 3 -faults '$(GRAY_SPEC)' fig-cluster > .golden/gray-cluster
+	for run in all fault-fig9 crash-fig9 gray-cluster; do \
+		awk -v d=.golden/$$run.sec 'BEGIN { f = sprintf("%s%02d", d, 0) } \
+			/^== / { close(f); f = sprintf("%s%02d", d, ++n) } { print > f }' .golden/$$run; \
+		for f in .golden/$$run.sec*; do \
+			printf '%s  %s: %s\n' "$$(sha256sum < $$f | cut -c1-64)" $$run "$$(head -n 1 $$f)"; \
+		done; \
+	done > .golden/digests
+	rm -f .golden-nmapsim
+
+golden: golden-digests
+	mkdir -p $(dir $(GOLDEN))
+	cp .golden/digests $(GOLDEN)
+	rm -rf .golden
+
+golden-gate: golden-digests
+	diff -u $(GOLDEN) .golden/digests
+	rm -rf .golden
 
 # Checkpoint smoke: kill a journaled sweep mid-run, resume it from the
 # journal, and require byte-identical stdout against an uninterrupted
