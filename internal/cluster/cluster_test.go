@@ -349,6 +349,13 @@ func TestValidateRejects(t *testing.T) {
 		cfg  Config
 		want string
 	}{"crash out of range", Config{Nodes: 2, Node: crash}, "out of range"})
+	slow := node
+	slow.Faults.NodeSlows = []faults.NodeSlow{{Node: 4, At: sim.Millisecond, Duration: sim.Millisecond, Factor: 2}}
+	cases = append(cases, struct {
+		name string
+		cfg  Config
+		want string
+	}{"nodeslow out of range", Config{Nodes: 2, Node: slow}, "nodeslow node 4 out of range"})
 	for _, tc := range cases {
 		if _, err := New(tc.cfg, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: New err = %v, want substring %q", tc.name, err, tc.want)

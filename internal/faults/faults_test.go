@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -347,5 +348,28 @@ func TestStartNodeFaultsSchedule(t *testing.T) {
 	st := inj.Stats()
 	if st.NodeCrashes != 2 || st.NodeRecoveries != 1 || st.NodeSlows != 1 {
 		t.Fatalf("stats = %+v, want 2 node crashes, 1 recovery, 1 slow", st)
+	}
+}
+
+// Faults due at the same instant fire in class order (core crashes
+// before queue stalls), and within a class in config order, whatever
+// order the config lists the classes in: arming order is the engine's
+// tie-break, so it is part of the physics.
+func TestHardFaultsSameInstantClassOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	at := 10 * sim.Millisecond
+	cfg := Config{
+		QueueStalls: []QueueStall{{Queue: 3, At: at, Duration: sim.Millisecond}},
+		CoreCrashes: []CoreCrash{{Core: 2, At: at}, {Core: 1, At: at}},
+	}
+	var log []string
+	New(cfg, sim.NewRNG(1)).StartHardFaults(eng,
+		func(core int) bool { log = append(log, fmt.Sprintf("crash%d", core)); return true },
+		func(core int) bool { return true },
+		func(q int) bool { log = append(log, fmt.Sprintf("stall%d", q)); return true },
+		func(q int) {})
+	eng.Run(sim.Time(20 * sim.Millisecond))
+	if want := []string{"crash2", "crash1", "stall3"}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("same-instant firing order = %v, want %v", log, want)
 	}
 }

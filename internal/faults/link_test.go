@@ -2,6 +2,7 @@ package faults
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -145,5 +146,30 @@ func TestStartLinkFaultsSchedule(t *testing.T) {
 	st := inj.Stats()
 	if st.Partitions != 2 || st.PartitionHeals != 1 || st.LinkSlows != 1 || st.LinkLosses != 1 {
 		t.Fatalf("stats = %+v, want 2 partitions, 1 heal, 1 slow, 1 lossy window", st)
+	}
+}
+
+// Link faults due at the same instant fire in class order: partitions,
+// then link slows, then link losses, each class in config order.
+func TestLinkFaultsSameInstantClassOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	at := 10 * sim.Millisecond
+	cfg := Config{
+		LinkLosses: []LinkLoss{{Node: 0, At: at, Duration: sim.Millisecond, Prob: 0.5}},
+		LinkSlows:  []LinkSlow{{Node: 1, At: at, Duration: sim.Millisecond, Factor: 2}},
+		Partitions: []Partition{{Node: 3, At: at}, {Node: 2, Dir: LinkTx, At: at}},
+	}
+	var log []string
+	add := func(ev string, node int) bool { log = append(log, ev+strconv.Itoa(node)); return true }
+	New(cfg, sim.NewRNG(1)).StartLinkFaults(eng,
+		func(node int, dir LinkDir) bool { return add("cut", node) },
+		func(node int, dir LinkDir) {},
+		func(node int, factor float64) bool { return add("slow", node) },
+		func(node int) {},
+		func(node int, p float64) bool { return add("loss", node) },
+		func(node int) {})
+	eng.Run(sim.Time(20 * sim.Millisecond))
+	if want := []string{"cut3", "cut2", "slow1", "loss0"}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("same-instant firing order = %v, want %v", log, want)
 	}
 }

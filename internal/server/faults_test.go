@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nmapsim/internal/faults"
@@ -213,32 +214,57 @@ func TestConfigValidateRejectsBadKnobs(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
+		want   string // error substring; empty accepts any error
 	}{
-		{"negative ring", func(c *Config) { c.NICRing = -1 }},
-		{"negative ITR", func(c *Config) { c.ITR = -sim.Microsecond }},
-		{"negative RPS", func(c *Config) { c.RPS = -5 }},
-		{"negative flows", func(c *Config) { c.Flows = -2 }},
-		{"negative duration", func(c *Config) { c.Duration = -sim.Second }},
-		{"negative sockq", func(c *Config) { c.SockQCap = -1 }},
-		{"loss prob over 1", func(c *Config) { c.Faults.WireLossProb = 1.5 }},
-		{"negative jitter", func(c *Config) { c.Faults.IRQJitter = -sim.Microsecond }},
+		{"negative ring", func(c *Config) { c.NICRing = -1 }, ""},
+		{"negative ITR", func(c *Config) { c.ITR = -sim.Microsecond }, ""},
+		{"negative RPS", func(c *Config) { c.RPS = -5 }, ""},
+		{"negative flows", func(c *Config) { c.Flows = -2 }, ""},
+		{"negative duration", func(c *Config) { c.Duration = -sim.Second }, ""},
+		{"negative sockq", func(c *Config) { c.SockQCap = -1 }, ""},
+		{"loss prob over 1", func(c *Config) { c.Faults.WireLossProb = 1.5 }, ""},
+		{"negative jitter", func(c *Config) { c.Faults.IRQJitter = -sim.Microsecond }, ""},
 		{"throttle pstate out of range", func(c *Config) {
 			c.Faults.ThrottleRate = 1
 			c.Faults.ThrottlePState = 99
-		}},
+		}, "throttle P-state 99 out of range"},
 		{"retry backoff under 1", func(c *Config) {
 			c.Retry = workload.RetryConfig{Timeout: sim.Millisecond, Backoff: 0.5}
-		}},
+		}, ""},
 		{"retry cap under timeout", func(c *Config) {
 			c.Retry = workload.RetryConfig{Timeout: 2 * sim.Millisecond, MaxTimeout: sim.Millisecond}
-		}},
+		}, ""},
+		{"corecrash core out of range", func(c *Config) {
+			c.Faults.CoreCrashes = []faults.CoreCrash{{Core: 99, At: sim.Millisecond}}
+		}, "corecrash core 99 out of range"},
+		{"queuestall queue out of range", func(c *Config) {
+			c.Faults.QueueStalls = []faults.QueueStall{{Queue: 99, At: sim.Millisecond, Duration: sim.Millisecond}}
+		}, "queuestall queue 99 out of range"},
+		{"permanent crashes kill every core", func(c *Config) {
+			for core := 0; core < c.withDefaults().Model.NumCores; core++ {
+				c.Faults.CoreCrashes = append(c.Faults.CoreCrashes, faults.CoreCrash{Core: core, At: sim.Millisecond})
+			}
+		}, "would kill all"},
 	}
 	for _, tc := range cases {
 		cfg := quickCfg(workload.Low, 1)
 		tc.mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		err := cfg.Validate()
+		if err == nil {
 			t.Errorf("%s: Validate accepted the bad config", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate error %q, want substring %q", tc.name, err, tc.want)
 		}
+	}
+	// A timed crash on every core leaves a survivor at all times, so only
+	// permanent crashes count toward the all-cores check.
+	timed := quickCfg(workload.Low, 1)
+	for core := 0; core < timed.withDefaults().Model.NumCores; core++ {
+		timed.Faults.CoreCrashes = append(timed.Faults.CoreCrashes,
+			faults.CoreCrash{Core: core, At: sim.Millisecond, Duration: sim.Millisecond})
+	}
+	if err := timed.Validate(); err != nil {
+		t.Errorf("Validate rejected timed crashes on every core: %v", err)
 	}
 	good := quickCfg(workload.Low, 1)
 	if err := good.Validate(); err != nil {
