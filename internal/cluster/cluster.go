@@ -293,11 +293,7 @@ func New(cfg Config, setup NodeSetup) (*Cluster, error) {
 	// The cluster arms only the node- and link-level fault classes; each
 	// node's own injector arms the per-core classes, so nothing is armed
 	// twice.
-	if nf := (faults.Config{
-		NodeCrashes: cfg.Node.Faults.NodeCrashes, NodeSlows: cfg.Node.Faults.NodeSlows,
-		Partitions: cfg.Node.Faults.Partitions, LinkSlows: cfg.Node.Faults.LinkSlows,
-		LinkLosses: cfg.Node.Faults.LinkLosses,
-	}); nf.Enabled() {
+	if nf := cfg.Node.Faults.Only(faults.ClusterLayer); nf.Enabled() {
 		c.inj = faults.New(nf, sim.NewRNG(cfg.Node.Seed^0x9e3779b97f4a7c15))
 	}
 	// The front end is node 0's generator rewired through the router:
@@ -367,30 +363,8 @@ func validate(cfg Config) error {
 			return fmt.Errorf("cluster: hedge Min %v exceeds Max %v", cfg.Hedge.Min, cfg.Hedge.Max)
 		}
 	}
-	for _, nc := range cfg.Node.Faults.NodeCrashes {
-		if nc.Node >= cfg.Nodes {
-			return fmt.Errorf("cluster: nodecrash node %d out of range for %d nodes", nc.Node, cfg.Nodes)
-		}
-	}
-	for _, ns := range cfg.Node.Faults.NodeSlows {
-		if ns.Node >= cfg.Nodes {
-			return fmt.Errorf("cluster: nodeslow node %d out of range for %d nodes", ns.Node, cfg.Nodes)
-		}
-	}
-	for _, p := range cfg.Node.Faults.Partitions {
-		if p.Node >= cfg.Nodes {
-			return fmt.Errorf("cluster: partition node %d out of range for %d nodes", p.Node, cfg.Nodes)
-		}
-	}
-	for _, ls := range cfg.Node.Faults.LinkSlows {
-		if ls.Node >= cfg.Nodes {
-			return fmt.Errorf("cluster: linkslow node %d out of range for %d nodes", ls.Node, cfg.Nodes)
-		}
-	}
-	for _, ll := range cfg.Node.Faults.LinkLosses {
-		if ll.Node >= cfg.Nodes {
-			return fmt.Errorf("cluster: linkloss node %d out of range for %d nodes", ll.Node, cfg.Nodes)
-		}
+	if err := cfg.Node.Faults.CheckRange(faults.ClusterLayer, cfg.Nodes); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return cfg.Node.Validate()
 }
@@ -401,11 +375,16 @@ func (c *Cluster) Start() {
 	for _, n := range c.Nodes {
 		n.Srv.StartNode()
 	}
-	c.inj.StartNodeFaults(c.Eng, c.crashNode, c.recoverNode, c.slowNode, c.unslowNode)
-	if c.fabric != nil {
-		c.inj.StartLinkFaults(c.Eng, c.fabric.cut, c.fabric.heal,
-			c.fabric.slowLink, c.fabric.unslowLink, c.fabric.lossOn, c.fabric.lossOff)
+	hooks := map[string]faults.Hook{
+		"nodecrash": {On: c.crashNode, Off: c.recoverNode},
+		"nodeslow":  {On: c.slowNode, Off: c.unslowNode},
 	}
+	if c.fabric != nil {
+		hooks["partition"] = faults.Hook{On: c.fabric.cut, Off: c.fabric.heal}
+		hooks["linkslow"] = faults.Hook{On: c.fabric.slowLink, Off: c.fabric.unslowLink}
+		hooks["linkloss"] = faults.Hook{On: c.fabric.lossOn, Off: c.fabric.lossOff}
+	}
+	c.inj.Arm(c.Eng, hooks)
 	c.health.start()
 	if c.cap != nil {
 		c.cap.start()
@@ -541,12 +520,13 @@ func (c *Cluster) onNodeFail(i int, r *workload.Request) {
 
 // crashNode / recoverNode / slowNode / unslowNode adapt the node-fault
 // schedule to node lifecycles (bounds are validated at New).
-func (c *Cluster) crashNode(node int) bool   { return c.Nodes[node].Srv.CrashNode() }
-func (c *Cluster) recoverNode(node int) bool { return c.Nodes[node].Srv.RecoverNode() }
-func (c *Cluster) slowNode(node int, factor float64) bool {
-	return c.Nodes[node].Srv.SlowNode(factor)
+func (c *Cluster) crashNode(w faults.Window) bool   { return c.Nodes[w.Target].Srv.CrashNode() }
+func (c *Cluster) recoverNode(w faults.Window) bool { return c.Nodes[w.Target].Srv.RecoverNode() }
+func (c *Cluster) slowNode(w faults.Window) bool    { return c.Nodes[w.Target].Srv.SlowNode(w.X) }
+func (c *Cluster) unslowNode(w faults.Window) bool {
+	c.Nodes[w.Target].Srv.RestoreSpeed()
+	return true
 }
-func (c *Cluster) unslowNode(node int) { c.Nodes[node].Srv.RestoreSpeed() }
 
 // Collect summarises the fleet as of now: every node's own result (in
 // node order), the merged front-end view, and — when auditing — the

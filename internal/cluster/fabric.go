@@ -214,50 +214,57 @@ func (f *fabric) landResp(a any) {
 // cut severs the targeted leg(s), reporting whether any went from
 // connected to cut; heal restores exactly what cut severed. Overlapping
 // cuts nest per leg.
-func (f *fabric) cut(node int, dir faults.LinkDir) bool {
-	tx := dir == faults.LinkBoth || dir == faults.LinkTx
-	rx := dir == faults.LinkBoth || dir == faults.LinkRx
-	took := (tx && f.cutTx[node] == 0) || (rx && f.cutRx[node] == 0)
+func (f *fabric) cut(w faults.Window) bool {
+	tx := w.Dir == faults.LinkBoth || w.Dir == faults.LinkTx
+	rx := w.Dir == faults.LinkBoth || w.Dir == faults.LinkRx
+	took := (tx && f.cutTx[w.Target] == 0) || (rx && f.cutRx[w.Target] == 0)
 	if !took {
 		return false
 	}
 	if tx {
-		f.cutTx[node]++
+		f.cutTx[w.Target]++
 	}
 	if rx {
-		f.cutRx[node]++
+		f.cutRx[w.Target]++
 	}
 	return true
 }
 
-func (f *fabric) heal(node int, dir faults.LinkDir) {
-	if (dir == faults.LinkBoth || dir == faults.LinkTx) && f.cutTx[node] > 0 {
-		f.cutTx[node]--
+func (f *fabric) heal(w faults.Window) bool {
+	if (w.Dir == faults.LinkBoth || w.Dir == faults.LinkTx) && f.cutTx[w.Target] > 0 {
+		f.cutTx[w.Target]--
 	}
-	if (dir == faults.LinkBoth || dir == faults.LinkRx) && f.cutRx[node] > 0 {
-		f.cutRx[node]--
+	if (w.Dir == faults.LinkBoth || w.Dir == faults.LinkRx) && f.cutRx[w.Target] > 0 {
+		f.cutRx[w.Target]--
 	}
+	return true
 }
 
-func (f *fabric) slowLink(node int, factor float64) bool {
-	if f.slowF[node] != 1 {
+func (f *fabric) slowLink(w faults.Window) bool {
+	if f.slowF[w.Target] != 1 {
 		return false
 	}
-	f.slowF[node] = factor
+	f.slowF[w.Target] = w.X
 	return true
 }
 
-func (f *fabric) unslowLink(node int) { f.slowF[node] = 1 }
+func (f *fabric) unslowLink(w faults.Window) bool {
+	f.slowF[w.Target] = 1
+	return true
+}
 
-func (f *fabric) lossOn(node int, p float64) bool {
-	if f.lossP[node] > 0 {
+func (f *fabric) lossOn(w faults.Window) bool {
+	if f.lossP[w.Target] > 0 {
 		return false
 	}
-	f.lossP[node] = p
+	f.lossP[w.Target] = w.X
 	return true
 }
 
-func (f *fabric) lossOff(node int) { f.lossP[node] = 0 }
+func (f *fabric) lossOff(w faults.Window) bool {
+	f.lossP[w.Target] = 0
+	return true
+}
 
 // linkCut reports whether either leg of node's link is severed — the
 // health prober's view (a probe can neither reach nor hear across a

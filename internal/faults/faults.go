@@ -191,19 +191,62 @@ type QueueStall struct {
 	Duration sim.Duration
 }
 
+// Window is one scheduled window fault in class-neutral form: the
+// fields every class's TARGET@TIME[:DUR][:X] record shares, as the
+// arming hooks receive it.
+type Window struct {
+	// Target is the core, queue or node the fault hits.
+	Target int
+	// Dir selects the severed leg(s); partitions only.
+	Dir LinkDir
+	// At is the simulated instant the fault begins.
+	At sim.Duration
+	// Duration is the window; zero means permanent (for the classes
+	// whose :DUR is optional).
+	Duration sim.Duration
+	// X is the class's factor or probability; zero when it has none.
+	X float64
+}
+
+// Hook begins (On) and ends (Off) the window faults of one class. Each
+// reports whether it took effect.
+type Hook struct {
+	On, Off func(w Window) bool
+}
+
+// Layer is the assembly that arms a window-fault class.
+type Layer uint8
+
+// The two arming layers.
+const (
+	// ServerLayer classes (corecrash, queuestall) are armed by each
+	// server on its own cores and queues.
+	ServerLayer Layer = iota
+	// ClusterLayer classes (node and link faults) are armed once, by the
+	// cluster that owns the node lifecycle and the fabric.
+	ClusterLayer
+)
+
 // Enabled reports whether any fault class is active.
 func (c Config) Enabled() bool {
 	return c.WireLossProb > 0 || c.IRQLossProb > 0 ||
-		c.IRQJitter > 0 || c.DMAJitter > 0 || c.ThrottleRate > 0 ||
-		len(c.CoreCrashes) > 0 || len(c.QueueStalls) > 0 ||
-		len(c.NodeCrashes) > 0 || len(c.NodeSlows) > 0 || c.LinkFaults()
+		c.IRQJitter > 0 || c.DMAJitter > 0 || c.ThrottleRate > 0 || c.schedules(false)
 }
 
 // LinkFaults reports whether any interconnect fault is scheduled; the
 // cluster uses it to decide whether the fabric machinery must be armed
 // even when the fabric model itself is configured at zero cost.
-func (c Config) LinkFaults() bool {
-	return len(c.Partitions) > 0 || len(c.LinkSlows) > 0 || len(c.LinkLosses) > 0
+func (c Config) LinkFaults() bool { return c.schedules(true) }
+
+// schedules reports whether c holds a window fault, of an interconnect
+// class if linkOnly.
+func (c *Config) schedules(linkOnly bool) bool {
+	for i := range keys {
+		if k := &keys[i]; k.get != nil && (k.link || !linkOnly) && len(k.get(c)) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Validate rejects out-of-range parameters with a descriptive error.
@@ -229,93 +272,52 @@ func (c Config) Validate() error {
 	if c.ThrottlePState < 0 {
 		return fmt.Errorf("faults: negative throttle P-state %d", c.ThrottlePState)
 	}
-	for _, cc := range c.CoreCrashes {
-		if cc.Core < 0 {
-			return fmt.Errorf("faults: negative corecrash core %d", cc.Core)
+	return c.eachWindow(func(k *keySpec, w Window) error {
+		if err := k.check(w); err != nil {
+			return fmt.Errorf("faults: %s: %v", k.key, err)
 		}
-		if cc.At < 0 {
-			return fmt.Errorf("faults: negative corecrash time %v", cc.At)
+		return nil
+	})
+}
+
+// CheckRange rejects the first window fault armed by layer l whose
+// target is not below n, the layer's count of cores (== queues) or of
+// nodes. Validate cannot check this: only the assembly knows n.
+func (c Config) CheckRange(l Layer, n int) error {
+	return c.eachWindow(func(k *keySpec, w Window) error {
+		if k.layer == l && w.Target >= n {
+			return fmt.Errorf("%s %s %d out of range for %d %ss", k.key, k.target, w.Target, n, k.target)
 		}
-		if cc.Duration < 0 {
-			return fmt.Errorf("faults: negative corecrash duration %v", cc.Duration)
+		return nil
+	})
+}
+
+// Only returns the window faults of c that layer l arms, with every
+// other class and every scalar knob left zero.
+func (c Config) Only(l Layer) Config {
+	var out Config
+	c.eachWindow(func(k *keySpec, w Window) error {
+		if k.layer == l {
+			k.put(&out, w)
 		}
-	}
-	for _, qs := range c.QueueStalls {
-		if qs.Queue < 0 {
-			return fmt.Errorf("faults: negative queuestall queue %d", qs.Queue)
+		return nil
+	})
+	return out
+}
+
+// eachWindow calls fn on every scheduled window fault of c, classes in
+// table order and each class in config order, stopping at fn's first
+// error.
+func (c *Config) eachWindow(fn func(k *keySpec, w Window) error) error {
+	for i := range keys {
+		k := &keys[i]
+		if k.get == nil {
+			continue
 		}
-		if qs.At < 0 {
-			return fmt.Errorf("faults: negative queuestall time %v", qs.At)
-		}
-		if qs.Duration <= 0 {
-			return fmt.Errorf("faults: queuestall needs a positive duration, got %v", qs.Duration)
-		}
-	}
-	for _, nc := range c.NodeCrashes {
-		if nc.Node < 0 {
-			return fmt.Errorf("faults: negative nodecrash node %d", nc.Node)
-		}
-		if nc.At < 0 {
-			return fmt.Errorf("faults: negative nodecrash time %v", nc.At)
-		}
-		if nc.Duration < 0 {
-			return fmt.Errorf("faults: negative nodecrash duration %v", nc.Duration)
-		}
-	}
-	for _, ns := range c.NodeSlows {
-		if ns.Node < 0 {
-			return fmt.Errorf("faults: negative nodeslow node %d", ns.Node)
-		}
-		if ns.At < 0 {
-			return fmt.Errorf("faults: negative nodeslow time %v", ns.At)
-		}
-		if ns.Duration <= 0 {
-			return fmt.Errorf("faults: nodeslow needs a positive duration, got %v", ns.Duration)
-		}
-		if ns.Factor <= 1 {
-			return fmt.Errorf("faults: nodeslow factor must be > 1, got %g", ns.Factor)
-		}
-	}
-	for _, p := range c.Partitions {
-		if p.Node < 0 {
-			return fmt.Errorf("faults: negative partition node %d", p.Node)
-		}
-		if p.Dir > LinkRx {
-			return fmt.Errorf("faults: unknown partition direction %d", p.Dir)
-		}
-		if p.At < 0 {
-			return fmt.Errorf("faults: negative partition time %v", p.At)
-		}
-		if p.Duration < 0 {
-			return fmt.Errorf("faults: negative partition duration %v", p.Duration)
-		}
-	}
-	for _, ls := range c.LinkSlows {
-		if ls.Node < 0 {
-			return fmt.Errorf("faults: negative linkslow node %d", ls.Node)
-		}
-		if ls.At < 0 {
-			return fmt.Errorf("faults: negative linkslow time %v", ls.At)
-		}
-		if ls.Duration <= 0 {
-			return fmt.Errorf("faults: linkslow needs a positive duration, got %v", ls.Duration)
-		}
-		if ls.Factor <= 1 {
-			return fmt.Errorf("faults: linkslow factor must be > 1, got %g", ls.Factor)
-		}
-	}
-	for _, ll := range c.LinkLosses {
-		if ll.Node < 0 {
-			return fmt.Errorf("faults: negative linkloss node %d", ll.Node)
-		}
-		if ll.At < 0 {
-			return fmt.Errorf("faults: negative linkloss time %v", ll.At)
-		}
-		if ll.Duration <= 0 {
-			return fmt.Errorf("faults: linkloss needs a positive duration, got %v", ll.Duration)
-		}
-		if ll.Prob <= 0 || ll.Prob >= 1 {
-			return fmt.Errorf("faults: linkloss probability %g outside (0, 1)", ll.Prob)
+		for _, w := range k.get(c) {
+			if err := fn(k, w); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -466,185 +468,277 @@ func (i *Injector) StartThrottler(eng *sim.Engine, cores int, pstate int, clamp 
 	eng.Schedule(i.rng.ExpDur(meanGap), fire)
 }
 
-// StartHardFaults arms the scheduled hard faults on the engine. The
-// schedule is fixed by the configuration and draws nothing from the
-// PRNG, so arming only hard faults perturbs no physics stream — a hard
-// fault scheduled past the run horizon leaves the run byte-identical to
-// a faultless one.
+// Arm schedules every window fault whose class has a hook, classes in
+// the grammar's order and each class in config order, so faults due at
+// the same instant fire in that order. The schedule is fixed by the
+// configuration and draws nothing from the PRNG (lossy-link drops are
+// drawn per traversal by the fabric, from its own side stream), so a
+// window fault past the run horizon leaves the run byte-identical to a
+// faultless one.
 //
-// crash takes the core offline and reports whether it actually did (the
-// server refuses to kill an already-dead core or the last survivor);
-// restore brings it back and reports whether it did — a node-level
-// crash can sweep the core up first, in which case the node's reboot
-// owns the recovery and the per-core event is a counted-only-if-taken
-// no-op. stall sticks the Rx queue and reports whether it did; unstall
-// releases it. Recovery/unstall events are scheduled only when the
-// corresponding fault took effect, and recoveries are counted only when
-// they took effect too.
-func (i *Injector) StartHardFaults(eng *sim.Engine, crash func(core int) bool, restore func(core int) bool, stall func(q int) bool, unstall func(q int)) {
+// hooks is keyed by class key (corecrash, ...). On fires at the fault's
+// instant; only when it reports that the fault took is the fault
+// counted and, for a timed fault, Off scheduled Duration later. Off's
+// report is counted for the classes that count endings (core and node
+// recoveries, partition heals) and ignored for the rest. Each layer
+// passes the hooks of the classes it owns, so nothing is armed twice.
+func (i *Injector) Arm(eng *sim.Engine, hooks map[string]Hook) {
 	if i == nil {
 		return
 	}
-	for _, cc := range i.cfg.CoreCrashes {
-		cc := cc
-		eng.At(sim.Time(cc.At), func() {
-			if !crash(cc.Core) {
+	for key := range hooks {
+		if k := lookup(key); k == nil || k.get == nil {
+			panic("faults: no window fault class " + key)
+		}
+	}
+	i.cfg.eachWindow(func(k *keySpec, w Window) error {
+		h, ok := hooks[k.key]
+		if !ok {
+			return nil
+		}
+		eng.At(sim.Time(w.At), func() {
+			if !h.On(w) {
 				return
 			}
-			i.stats.CoreCrashes++
-			if cc.Duration > 0 {
-				eng.Schedule(cc.Duration, func() {
-					if restore(cc.Core) {
-						i.stats.CoreRecoveries++
+			*k.on(&i.stats)++
+			if w.Duration > 0 {
+				eng.Schedule(w.Duration, func() {
+					if h.Off(w) && k.off != nil {
+						*k.off(&i.stats)++
 					}
 				})
 			}
 		})
-	}
-	for _, qs := range i.cfg.QueueStalls {
-		qs := qs
-		eng.At(sim.Time(qs.At), func() {
-			if !stall(qs.Queue) {
-				return
-			}
-			i.stats.QueueStalls++
-			eng.Schedule(qs.Duration, func() { unstall(qs.Queue) })
-		})
-	}
+		return nil
+	})
 }
 
-// StartNodeFaults arms the scheduled node-level hard faults on the
-// engine — the cluster-side sibling of StartHardFaults, riding the same
-// no-PRNG contract: the schedule is fixed by the configuration, so a
-// node fault past the run horizon perturbs no physics stream.
-//
-// crash takes the whole node down and reports whether it did (an
-// already-dead node is skipped); restore reboots it and reports whether
-// it did. slow clamps the node's cores for the window and reports
-// whether the clamp took; unslow lifts it.
-func (i *Injector) StartNodeFaults(eng *sim.Engine, crash func(node int) bool, restore func(node int) bool, slow func(node int, factor float64) bool, unslow func(node int)) {
-	if i == nil {
-		return
-	}
-	for _, nc := range i.cfg.NodeCrashes {
-		nc := nc
-		eng.At(sim.Time(nc.At), func() {
-			if !crash(nc.Node) {
-				return
-			}
-			i.stats.NodeCrashes++
-			if nc.Duration > 0 {
-				eng.Schedule(nc.Duration, func() {
-					if restore(nc.Node) {
-						i.stats.NodeRecoveries++
-					}
-				})
-			}
-		})
-	}
-	for _, ns := range i.cfg.NodeSlows {
-		ns := ns
-		eng.At(sim.Time(ns.At), func() {
-			if !slow(ns.Node, ns.Factor) {
-				return
-			}
-			i.stats.NodeSlows++
-			eng.Schedule(ns.Duration, func() { unslow(ns.Node) })
-		})
-	}
+// extra is the field a window class carries beyond TARGET@TIME[:DUR].
+type extra uint8
+
+const (
+	noExtra extra = iota
+	ends          // A|B endpoints in place of TARGET, one spelled fe
+	factor        // a trailing :FACTOR, a slowdown ratio > 1
+	prob          // a trailing :PROB, a drop probability in (0, 1)
+)
+
+// extraName names a trailing extra field in parse errors.
+var extraName = [...]string{factor: "factor", prob: "probability"}
+
+// keySpec is one key of the fault grammar. A scalar key sets one knob
+// through set and may appear once. A window key (set == nil) describes
+// a repeatable class of TARGET@TIME[:DUR][:X] records, with get/put
+// adapters between its exported struct and the class-neutral Window.
+type keySpec struct {
+	key string
+	set func(c *Config, val string) error
+
+	usage   string // the record grammar, quoted in parse errors
+	target  string // what TARGET indexes: core, queue or node
+	needDur bool   // :DUR is mandatory; else optional, absent = permanent
+	extra   extra
+	layer   Layer
+	link    bool // an interconnect fault: the cluster arms its fabric
+	get     func(c *Config) []Window
+	put     func(c *Config, w Window)
+	on, off func(s *Stats) *uint64 // off nil: ending a window counts nothing
 }
 
-// StartLinkFaults arms the scheduled interconnect faults on the engine,
-// under the same discipline as the other scheduled hard faults: the
-// schedule is fixed by the configuration and draws nothing from the
-// PRNG (lossy-link drops are drawn per traversal by the fabric, from
-// the fabric's own side stream), so a link fault past the run horizon
-// perturbs no physics stream.
-//
-// cut severs the leg(s) and reports whether any actually went from
-// connected to cut (a cut scheduled entirely on already-severed legs is
-// skipped); heal restores exactly what cut severed. slow stretches the
-// link and reports whether the stretch took (a link already degraded is
-// skipped); unslow lifts it. lossOn arms the per-traversal drop
-// probability and reports whether it took; lossOff disarms it.
-// Heal/unslow/lossOff events are scheduled only when the fault took.
-func (i *Injector) StartLinkFaults(eng *sim.Engine,
-	cut func(node int, dir LinkDir) bool, heal func(node int, dir LinkDir),
-	slow func(node int, factor float64) bool, unslow func(node int),
-	lossOn func(node int, p float64) bool, lossOff func(node int)) {
-	if i == nil {
-		return
+// keys is the fault grammar, in ParseSpec's documented order. The
+// window classes' order is also their arming order.
+var keys = [...]keySpec{
+	{key: "loss", set: func(c *Config, v string) (err error) { c.WireLossProb, err = parseProb(v); return err }},
+	{key: "irqloss", set: func(c *Config, v string) (err error) { c.IRQLossProb, err = parseProb(v); return err }},
+	{key: "irqjitter", set: func(c *Config, v string) (err error) { c.IRQJitter, err = parseNonNegDur(v); return err }},
+	{key: "dmajitter", set: func(c *Config, v string) (err error) { c.DMAJitter, err = parseNonNegDur(v); return err }},
+	{key: "throttle", set: (*Config).parseThrottle},
+	{key: "corecrash", usage: "CORE@TIME[:DUR]", target: "core", layer: ServerLayer,
+		get: func(c *Config) []Window {
+			return windows(c.CoreCrashes, func(f CoreCrash) Window { return Window{Target: f.Core, At: f.At, Duration: f.Duration} })
+		},
+		put: func(c *Config, w Window) {
+			c.CoreCrashes = append(c.CoreCrashes, CoreCrash{Core: w.Target, At: w.At, Duration: w.Duration})
+		},
+		on: func(s *Stats) *uint64 { return &s.CoreCrashes }, off: func(s *Stats) *uint64 { return &s.CoreRecoveries }},
+	{key: "queuestall", usage: "QUEUE@TIME:DUR", target: "queue", needDur: true, layer: ServerLayer,
+		get: func(c *Config) []Window {
+			return windows(c.QueueStalls, func(f QueueStall) Window { return Window{Target: f.Queue, At: f.At, Duration: f.Duration} })
+		},
+		put: func(c *Config, w Window) {
+			c.QueueStalls = append(c.QueueStalls, QueueStall{Queue: w.Target, At: w.At, Duration: w.Duration})
+		},
+		on: func(s *Stats) *uint64 { return &s.QueueStalls }},
+	{key: "nodecrash", usage: "NODE@TIME[:DUR]", target: "node", layer: ClusterLayer,
+		get: func(c *Config) []Window {
+			return windows(c.NodeCrashes, func(f NodeCrash) Window { return Window{Target: f.Node, At: f.At, Duration: f.Duration} })
+		},
+		put: func(c *Config, w Window) {
+			c.NodeCrashes = append(c.NodeCrashes, NodeCrash{Node: w.Target, At: w.At, Duration: w.Duration})
+		},
+		on: func(s *Stats) *uint64 { return &s.NodeCrashes }, off: func(s *Stats) *uint64 { return &s.NodeRecoveries }},
+	{key: "nodeslow", usage: "NODE@TIME:DUR:FACTOR", target: "node", needDur: true, extra: factor, layer: ClusterLayer,
+		get: func(c *Config) []Window {
+			return windows(c.NodeSlows, func(f NodeSlow) Window { return Window{Target: f.Node, At: f.At, Duration: f.Duration, X: f.Factor} })
+		},
+		put: func(c *Config, w Window) {
+			c.NodeSlows = append(c.NodeSlows, NodeSlow{Node: w.Target, At: w.At, Duration: w.Duration, Factor: w.X})
+		},
+		on: func(s *Stats) *uint64 { return &s.NodeSlows }},
+	{key: "partition", usage: "A|B@TIME[:DUR] or NODE@TIME[:DUR]", target: "node", extra: ends, layer: ClusterLayer, link: true,
+		get: func(c *Config) []Window {
+			return windows(c.Partitions, func(f Partition) Window { return Window{Target: f.Node, Dir: f.Dir, At: f.At, Duration: f.Duration} })
+		},
+		put: func(c *Config, w Window) {
+			c.Partitions = append(c.Partitions, Partition{Node: w.Target, Dir: w.Dir, At: w.At, Duration: w.Duration})
+		},
+		on: func(s *Stats) *uint64 { return &s.Partitions }, off: func(s *Stats) *uint64 { return &s.PartitionHeals }},
+	{key: "linkslow", usage: "NODE@TIME:DUR:FACTOR", target: "node", needDur: true, extra: factor, layer: ClusterLayer, link: true,
+		get: func(c *Config) []Window {
+			return windows(c.LinkSlows, func(f LinkSlow) Window { return Window{Target: f.Node, At: f.At, Duration: f.Duration, X: f.Factor} })
+		},
+		put: func(c *Config, w Window) {
+			c.LinkSlows = append(c.LinkSlows, LinkSlow{Node: w.Target, At: w.At, Duration: w.Duration, Factor: w.X})
+		},
+		on: func(s *Stats) *uint64 { return &s.LinkSlows }},
+	{key: "linkloss", usage: "NODE@TIME:DUR:PROB", target: "node", needDur: true, extra: prob, layer: ClusterLayer, link: true,
+		get: func(c *Config) []Window {
+			return windows(c.LinkLosses, func(f LinkLoss) Window { return Window{Target: f.Node, At: f.At, Duration: f.Duration, X: f.Prob} })
+		},
+		put: func(c *Config, w Window) {
+			c.LinkLosses = append(c.LinkLosses, LinkLoss{Node: w.Target, At: w.At, Duration: w.Duration, Prob: w.X})
+		},
+		on: func(s *Stats) *uint64 { return &s.LinkLosses }},
+}
+
+// windows maps one class's exported records to Windows, in order.
+func windows[T any](fs []T, w func(T) Window) []Window {
+	var ws []Window
+	for _, f := range fs {
+		ws = append(ws, w(f))
 	}
-	for _, p := range i.cfg.Partitions {
-		p := p
-		eng.At(sim.Time(p.At), func() {
-			if !cut(p.Node, p.Dir) {
-				return
-			}
-			i.stats.Partitions++
-			if p.Duration > 0 {
-				eng.Schedule(p.Duration, func() {
-					heal(p.Node, p.Dir)
-					i.stats.PartitionHeals++
-				})
-			}
-		})
+	return ws
+}
+
+// lookup returns the grammar entry for key, or nil.
+func lookup(key string) *keySpec {
+	for i := range keys {
+		if keys[i].key == key {
+			return &keys[i]
+		}
 	}
-	for _, ls := range i.cfg.LinkSlows {
-		ls := ls
-		eng.At(sim.Time(ls.At), func() {
-			if !slow(ls.Node, ls.Factor) {
-				return
-			}
-			i.stats.LinkSlows++
-			eng.Schedule(ls.Duration, func() { unslow(ls.Node) })
-		})
+	return nil
+}
+
+// check validates one window record of class k.
+func (k *keySpec) check(w Window) error {
+	switch {
+	case w.Target < 0:
+		return fmt.Errorf("negative %s %d", k.target, w.Target)
+	case w.Dir > LinkRx:
+		return fmt.Errorf("unknown direction %d", w.Dir)
+	case w.At < 0:
+		return fmt.Errorf("negative time %v", w.At)
+	case k.needDur && w.Duration <= 0:
+		return fmt.Errorf("needs a positive duration, got %v", w.Duration)
+	case w.Duration < 0:
+		return fmt.Errorf("negative duration %v", w.Duration)
+	case k.extra == factor && w.X <= 1:
+		return fmt.Errorf("factor must be > 1, got %g", w.X)
+	case k.extra == prob && (w.X <= 0 || w.X >= 1):
+		return fmt.Errorf("probability %g outside (0, 1)", w.X)
 	}
-	for _, ll := range i.cfg.LinkLosses {
-		ll := ll
-		eng.At(sim.Time(ll.At), func() {
-			if !lossOn(ll.Node, ll.Prob) {
-				return
-			}
-			i.stats.LinkLosses++
-			eng.Schedule(ll.Duration, func() { lossOff(ll.Node) })
-		})
+	return nil
+}
+
+// parseWindow parses one TARGET@TIME[:DUR][:X] record of class k and
+// appends it to c.
+func (k *keySpec) parseWindow(c *Config, val string) (err error) {
+	var w Window
+	tgt, when, ok := strings.Cut(val, "@")
+	if !ok {
+		return fmt.Errorf("want %s", k.usage)
 	}
+	if a, b, oneWay := strings.Cut(tgt, "|"); oneWay && k.extra == ends {
+		switch {
+		case a == "fe":
+			w.Dir, tgt = LinkTx, b
+		case b == "fe":
+			w.Dir, tgt = LinkRx, a
+		default:
+			return fmt.Errorf("one endpoint of %q must be the front end, spelled fe", tgt)
+		}
+	}
+	if w.Target, err = strconv.Atoi(tgt); err != nil {
+		return err
+	}
+	atStr, durStr, timed := strings.Cut(when, ":")
+	if !timed && k.needDur {
+		return fmt.Errorf("want %s (the window is mandatory)", k.usage)
+	}
+	if w.At, err = parseNonNegDur(atStr); err != nil {
+		return err
+	}
+	if timed {
+		var xStr string
+		name := extraName[k.extra]
+		if name != "" {
+			if durStr, xStr, ok = strings.Cut(durStr, ":"); !ok {
+				return fmt.Errorf("want %s (the %s is mandatory)", k.usage, name)
+			}
+		}
+		if w.Duration, err = parseDur(durStr); err != nil {
+			return err
+		}
+		if w.Duration <= 0 {
+			return fmt.Errorf("duration must be positive, got %v", w.Duration)
+		}
+		if name != "" {
+			if w.X, err = strconv.ParseFloat(xStr, 64); err != nil {
+				return err
+			}
+		}
+	}
+	if err = k.check(w); err == nil {
+		k.put(c, w)
+	}
+	return err
 }
 
 // ParseSpec parses the CLI fault specification: a comma-separated list
-// of key=value settings.
+// of key=value settings, one grammar entry per key in this order:
 //
-//	loss=P                wire loss probability (both directions)
-//	irqloss=P             interrupt loss probability
-//	irqjitter=DUR         mean extra interrupt delivery delay (e.g. 5us)
-//	dmajitter=DUR         mean extra DMA latency
-//	throttle=R/DUR        throttle events per second / mean hold time,
-//	                      with an optional clamp P-state: throttle=5/20ms@12
-//	corecrash=CORE@T[:D]  hard core failure at simulated time T; with a
-//	                      :D suffix the core recovers after D, without it
-//	                      the crash is permanent (e.g. corecrash=2@300ms:200ms)
-//	queuestall=Q@T:D      Rx queue Q sticks at time T for duration D
-//	nodecrash=NODE@T[:D]  whole-node hard failure at time T; with a :D
-//	                      suffix the node reboots after D (cluster runs
-//	                      only — a single server ignores it)
-//	nodeslow=NODE@T:D:F   node NODE runs at 1/F of full frequency from
-//	                      time T for duration D (e.g. nodeslow=1@300ms:100ms:2)
-//	partition=A|B@T[:D]   interconnect cut at time T between endpoints A
-//	                      and B, healing after D (without :D the cut is
-//	                      permanent). One endpoint must be the front end,
-//	                      spelled fe: partition=fe|2@300ms cuts only the
-//	                      front→node-2 leg, partition=2|fe@300ms:100ms
-//	                      only node 2's responses, and a bare node number
-//	                      (partition=2@300ms) cuts both legs
-//	linkslow=NODE@T:D:F   every traversal of NODE's link stretches by F
-//	                      from time T for duration D
-//	linkloss=NODE@T:D:P   each traversal of NODE's link drops with
-//	                      probability P from time T for duration D
+//	loss=P          wire loss probability (both directions)
+//	irqloss=P       interrupt loss probability
+//	irqjitter=DUR   mean extra interrupt delivery delay (e.g. 5us)
+//	dmajitter=DUR   mean extra DMA latency
+//	throttle=R/DUR[@PSTATE]
+//	                throttle events per second / mean hold time, with an
+//	                optional clamp P-state (throttle=5/20ms@12)
+//	corecrash=CORE@TIME[:DUR]
+//	                core CORE fails at TIME, recovering after DUR; without
+//	                :DUR the crash is permanent
+//	queuestall=QUEUE@TIME:DUR
+//	                Rx queue QUEUE sticks at TIME for DUR
+//	nodecrash=NODE@TIME[:DUR]
+//	                node NODE fails at TIME, rebooting after DUR (cluster
+//	                runs only: a single server ignores it)
+//	nodeslow=NODE@TIME:DUR:FACTOR
+//	                node NODE runs at 1/FACTOR of full frequency for DUR
+//	partition=A|B@TIME[:DUR] or NODE@TIME[:DUR]
+//	                interconnect cut between the front end, spelled fe,
+//	                and a node, healing after DUR: fe|2 cuts only the
+//	                front→node-2 leg, 2|fe only node 2's responses, and a
+//	                bare node number both legs
+//	linkslow=NODE@TIME:DUR:FACTOR
+//	                every traversal of NODE's link stretches by FACTOR
+//	linkloss=NODE@TIME:DUR:PROB
+//	                each traversal of NODE's link drops with probability
+//	                PROB
 //
-// Scalar keys may appear at most once; corecrash, queuestall, nodecrash,
-// nodeslow, partition, linkslow and linkloss repeat, one fault per
-// occurrence. An empty spec returns the zero Config.
+// Scalar keys may appear at most once; the window keys (corecrash
+// onward) repeat, one fault per occurrence. An empty spec returns the
+// zero Config.
 func ParseSpec(spec string) (Config, error) {
 	var c Config
 	spec = strings.TrimSpace(spec)
@@ -657,47 +751,22 @@ func ParseSpec(spec string) (Config, error) {
 		if !ok {
 			return c, fmt.Errorf("faults: %q is not key=value", part)
 		}
-		// Hard-fault keys are repeatable (one scheduled fault each);
-		// every scalar knob may be set only once.
-		switch key {
-		case "corecrash", "queuestall", "nodecrash", "nodeslow",
-			"partition", "linkslow", "linkloss":
-		default:
-			if seen[key] {
-				return c, fmt.Errorf("faults: duplicate key %q in %q", key, part)
+		k := lookup(key)
+		if k == nil {
+			names := make([]string, len(keys))
+			for i := range keys {
+				names[i] = keys[i].key
 			}
-			seen[key] = true
+			return c, fmt.Errorf("faults: unknown key %q (want %s)", key, strings.Join(names, ", "))
 		}
-		var err error
-		switch key {
-		case "loss":
-			c.WireLossProb, err = parseProb(val)
-		case "irqloss":
-			c.IRQLossProb, err = parseProb(val)
-		case "irqjitter":
-			c.IRQJitter, err = parseNonNegDur(val)
-		case "dmajitter":
-			c.DMAJitter, err = parseNonNegDur(val)
-		case "throttle":
-			err = c.parseThrottle(val)
-		case "corecrash":
-			err = c.parseCoreCrash(val)
-		case "queuestall":
-			err = c.parseQueueStall(val)
-		case "nodecrash":
-			err = c.parseNodeCrash(val)
-		case "nodeslow":
-			err = c.parseNodeSlow(val)
-		case "partition":
-			err = c.parsePartition(val)
-		case "linkslow":
-			err = c.parseLinkSlow(val)
-		case "linkloss":
-			err = c.parseLinkLoss(val)
-		default:
-			return c, fmt.Errorf("faults: unknown key %q (want loss, irqloss, irqjitter, dmajitter, throttle, corecrash, queuestall, nodecrash, nodeslow, partition, linkslow, linkloss)", key)
+		parse := k.set
+		if parse == nil {
+			parse = k.parseWindow
+		} else if seen[key] {
+			return c, fmt.Errorf("faults: duplicate key %q in %q", key, part)
 		}
-		if err != nil {
+		seen[key] = true
+		if err := parse(&c, val); err != nil {
 			return c, fmt.Errorf("faults: bad %s value %q: %v", key, val, err)
 		}
 	}
@@ -728,265 +797,6 @@ func parseNonNegDur(val string) (sim.Duration, error) {
 		return 0, fmt.Errorf("negative duration %v", d)
 	}
 	return d, nil
-}
-
-// parseCoreCrash parses "CORE@T" or "CORE@T:D" and appends the fault.
-func (c *Config) parseCoreCrash(val string) error {
-	coreStr, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want CORE@TIME or CORE@TIME:DUR")
-	}
-	core, err := strconv.Atoi(coreStr)
-	if err != nil {
-		return err
-	}
-	if core < 0 {
-		return fmt.Errorf("negative core %d", core)
-	}
-	cc := CoreCrash{Core: core}
-	atStr, durStr, timed := strings.Cut(when, ":")
-	if cc.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if timed {
-		if cc.Duration, err = parseDur(durStr); err != nil {
-			return err
-		}
-		if cc.Duration <= 0 {
-			return fmt.Errorf("recovery duration must be positive, got %v", cc.Duration)
-		}
-	}
-	c.CoreCrashes = append(c.CoreCrashes, cc)
-	return nil
-}
-
-// parseQueueStall parses "Q@T:D" and appends the fault.
-func (c *Config) parseQueueStall(val string) error {
-	qStr, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want Q@TIME:DUR")
-	}
-	q, err := strconv.Atoi(qStr)
-	if err != nil {
-		return err
-	}
-	if q < 0 {
-		return fmt.Errorf("negative queue %d", q)
-	}
-	atStr, durStr, ok := strings.Cut(when, ":")
-	if !ok {
-		return fmt.Errorf("want Q@TIME:DUR (the stall window is mandatory)")
-	}
-	qs := QueueStall{Queue: q}
-	if qs.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if qs.Duration, err = parseDur(durStr); err != nil {
-		return err
-	}
-	if qs.Duration <= 0 {
-		return fmt.Errorf("stall duration must be positive, got %v", qs.Duration)
-	}
-	c.QueueStalls = append(c.QueueStalls, qs)
-	return nil
-}
-
-// parseNodeCrash parses "NODE@T" or "NODE@T:D" and appends the fault.
-func (c *Config) parseNodeCrash(val string) error {
-	nodeStr, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME or NODE@TIME:DUR")
-	}
-	node, err := strconv.Atoi(nodeStr)
-	if err != nil {
-		return err
-	}
-	if node < 0 {
-		return fmt.Errorf("negative node %d", node)
-	}
-	nc := NodeCrash{Node: node}
-	atStr, durStr, timed := strings.Cut(when, ":")
-	if nc.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if timed {
-		if nc.Duration, err = parseDur(durStr); err != nil {
-			return err
-		}
-		if nc.Duration <= 0 {
-			return fmt.Errorf("reboot duration must be positive, got %v", nc.Duration)
-		}
-	}
-	c.NodeCrashes = append(c.NodeCrashes, nc)
-	return nil
-}
-
-// parseNodeSlow parses "NODE@T:D:F" and appends the fault.
-func (c *Config) parseNodeSlow(val string) error {
-	nodeStr, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:FACTOR")
-	}
-	node, err := strconv.Atoi(nodeStr)
-	if err != nil {
-		return err
-	}
-	if node < 0 {
-		return fmt.Errorf("negative node %d", node)
-	}
-	atStr, rest, ok := strings.Cut(when, ":")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:FACTOR (the window and factor are mandatory)")
-	}
-	durStr, facStr, ok := strings.Cut(rest, ":")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:FACTOR (the factor is mandatory)")
-	}
-	ns := NodeSlow{Node: node}
-	if ns.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if ns.Duration, err = parseDur(durStr); err != nil {
-		return err
-	}
-	if ns.Duration <= 0 {
-		return fmt.Errorf("slowdown duration must be positive, got %v", ns.Duration)
-	}
-	if ns.Factor, err = strconv.ParseFloat(facStr, 64); err != nil {
-		return err
-	}
-	if ns.Factor <= 1 {
-		return fmt.Errorf("factor must be > 1, got %g", ns.Factor)
-	}
-	c.NodeSlows = append(c.NodeSlows, ns)
-	return nil
-}
-
-// parsePartition parses "A|B@T[:D]" (one endpoint spelled fe for a
-// one-way cut) or "NODE@T[:D]" (both legs) and appends the fault.
-func (c *Config) parsePartition(val string) error {
-	ends, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want A|B@TIME[:DUR] or NODE@TIME[:DUR]")
-	}
-	p := Partition{Dir: LinkBoth}
-	var nodeStr string
-	if a, b, oneWay := strings.Cut(ends, "|"); oneWay {
-		switch {
-		case a == "fe":
-			p.Dir, nodeStr = LinkTx, b
-		case b == "fe":
-			p.Dir, nodeStr = LinkRx, a
-		default:
-			return fmt.Errorf("one endpoint of %q must be the front end, spelled fe", ends)
-		}
-	} else {
-		nodeStr = ends
-	}
-	node, err := strconv.Atoi(nodeStr)
-	if err != nil {
-		return err
-	}
-	if node < 0 {
-		return fmt.Errorf("negative node %d", node)
-	}
-	p.Node = node
-	atStr, durStr, timed := strings.Cut(when, ":")
-	if p.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if timed {
-		if p.Duration, err = parseDur(durStr); err != nil {
-			return err
-		}
-		if p.Duration <= 0 {
-			return fmt.Errorf("heal duration must be positive, got %v", p.Duration)
-		}
-	}
-	c.Partitions = append(c.Partitions, p)
-	return nil
-}
-
-// parseLinkSlow parses "NODE@T:D:F" and appends the fault.
-func (c *Config) parseLinkSlow(val string) error {
-	nodeStr, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:FACTOR")
-	}
-	node, err := strconv.Atoi(nodeStr)
-	if err != nil {
-		return err
-	}
-	if node < 0 {
-		return fmt.Errorf("negative node %d", node)
-	}
-	atStr, rest, ok := strings.Cut(when, ":")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:FACTOR (the window and factor are mandatory)")
-	}
-	durStr, facStr, ok := strings.Cut(rest, ":")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:FACTOR (the factor is mandatory)")
-	}
-	ls := LinkSlow{Node: node}
-	if ls.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if ls.Duration, err = parseDur(durStr); err != nil {
-		return err
-	}
-	if ls.Duration <= 0 {
-		return fmt.Errorf("degradation duration must be positive, got %v", ls.Duration)
-	}
-	if ls.Factor, err = strconv.ParseFloat(facStr, 64); err != nil {
-		return err
-	}
-	if ls.Factor <= 1 {
-		return fmt.Errorf("factor must be > 1, got %g", ls.Factor)
-	}
-	c.LinkSlows = append(c.LinkSlows, ls)
-	return nil
-}
-
-// parseLinkLoss parses "NODE@T:D:P" and appends the fault.
-func (c *Config) parseLinkLoss(val string) error {
-	nodeStr, when, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:PROB")
-	}
-	node, err := strconv.Atoi(nodeStr)
-	if err != nil {
-		return err
-	}
-	if node < 0 {
-		return fmt.Errorf("negative node %d", node)
-	}
-	atStr, rest, ok := strings.Cut(when, ":")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:PROB (the window and probability are mandatory)")
-	}
-	durStr, probStr, ok := strings.Cut(rest, ":")
-	if !ok {
-		return fmt.Errorf("want NODE@TIME:DUR:PROB (the probability is mandatory)")
-	}
-	ll := LinkLoss{Node: node}
-	if ll.At, err = parseNonNegDur(atStr); err != nil {
-		return err
-	}
-	if ll.Duration, err = parseDur(durStr); err != nil {
-		return err
-	}
-	if ll.Duration <= 0 {
-		return fmt.Errorf("loss-window duration must be positive, got %v", ll.Duration)
-	}
-	if ll.Prob, err = strconv.ParseFloat(probStr, 64); err != nil {
-		return err
-	}
-	if ll.Prob <= 0 || ll.Prob >= 1 {
-		return fmt.Errorf("probability %g outside (0, 1)", ll.Prob)
-	}
-	c.LinkLosses = append(c.LinkLosses, ll)
-	return nil
 }
 
 // parseThrottle parses "RATE/DUR" with an optional "@PSTATE" suffix.

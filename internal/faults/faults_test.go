@@ -189,9 +189,9 @@ func TestParseSpecMalformed(t *testing.T) {
 	}
 }
 
-// StartHardFaults arms exactly the scheduled faults: crash/stall fire
-// at their instants, timed recoveries follow, vetoed faults (callback
-// returns false) count nothing and schedule no recovery.
+// Arm with the server's hooks arms exactly the scheduled faults:
+// crash/stall fire at their instants, timed recoveries follow, vetoed
+// faults (On returns false) count nothing and schedule no recovery.
 func TestStartHardFaultsSchedule(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := Config{
@@ -207,14 +207,16 @@ func TestStartHardFaultsSchedule(t *testing.T) {
 	add := func(ev string, at sim.Time) {
 		log = append(log, ev+"@"+sim.Duration(at).String())
 	}
-	inj.StartHardFaults(eng,
-		func(core int) bool {
-			add("crash", eng.Now())
-			return core != 3
+	inj.Arm(eng, map[string]Hook{
+		"corecrash": {
+			On:  func(w Window) bool { add("crash", eng.Now()); return w.Target != 3 },
+			Off: func(w Window) bool { add("restore", eng.Now()); return true },
 		},
-		func(core int) bool { add("restore", eng.Now()); return true },
-		func(q int) bool { add("stall", eng.Now()); return true },
-		func(q int) { add("unstall", eng.Now()) })
+		"queuestall": {
+			On:  func(w Window) bool { add("stall", eng.Now()); return true },
+			Off: func(w Window) bool { add("unstall", eng.Now()); return true },
+		},
+	})
 	eng.Run(sim.Time(100 * sim.Millisecond))
 	want := []string{"crash@10ms", "stall@12ms", "restore@15ms", "unstall@15ms", "crash@20ms", "crash@30ms"}
 	if !reflect.DeepEqual(log, want) {
@@ -310,10 +312,11 @@ func TestValidateNodeFaults(t *testing.T) {
 	}
 }
 
-// StartNodeFaults arms exactly the scheduled node faults: crashes fire
-// at their instants, timed reboots follow and are counted only when the
-// restore callback reports it took effect, slow windows bracket their
-// duration, and vetoed faults schedule no follow-up.
+// Arm with the cluster's node hooks arms exactly the scheduled node
+// faults: crashes fire at their instants, timed reboots follow and are
+// counted only when the restore hook reports it took effect, slow
+// windows bracket their duration, and vetoed faults schedule no
+// follow-up.
 func TestStartNodeFaultsSchedule(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := Config{
@@ -329,17 +332,22 @@ func TestStartNodeFaultsSchedule(t *testing.T) {
 	inj := New(cfg, sim.NewRNG(1))
 	var log []string
 	add := func(ev string, at sim.Time) { log = append(log, ev+"@"+sim.Duration(at).String()) }
-	inj.StartNodeFaults(eng,
-		func(node int) bool { add("crash", eng.Now()); return node != 2 },
-		func(node int) bool { add("reboot", eng.Now()); return true },
-		func(node int, factor float64) bool {
-			if factor != 2 {
-				t.Fatalf("slow factor = %g, want 2", factor)
-			}
-			add("slow", eng.Now())
-			return true
+	inj.Arm(eng, map[string]Hook{
+		"nodecrash": {
+			On:  func(w Window) bool { add("crash", eng.Now()); return w.Target != 2 },
+			Off: func(w Window) bool { add("reboot", eng.Now()); return true },
 		},
-		func(node int) { add("unslow", eng.Now()) })
+		"nodeslow": {
+			On: func(w Window) bool {
+				if w.X != 2 {
+					t.Fatalf("slow factor = %g, want 2", w.X)
+				}
+				add("slow", eng.Now())
+				return true
+			},
+			Off: func(w Window) bool { add("unslow", eng.Now()); return true },
+		},
+	})
 	eng.Run(sim.Time(100 * sim.Millisecond))
 	want := []string{"crash@10ms", "slow@12ms", "reboot@15ms", "unslow@15ms", "crash@20ms", "crash@30ms"}
 	if !reflect.DeepEqual(log, want) {
@@ -363,13 +371,57 @@ func TestHardFaultsSameInstantClassOrder(t *testing.T) {
 		CoreCrashes: []CoreCrash{{Core: 2, At: at}, {Core: 1, At: at}},
 	}
 	var log []string
-	New(cfg, sim.NewRNG(1)).StartHardFaults(eng,
-		func(core int) bool { log = append(log, fmt.Sprintf("crash%d", core)); return true },
-		func(core int) bool { return true },
-		func(q int) bool { log = append(log, fmt.Sprintf("stall%d", q)); return true },
-		func(q int) {})
+	add := func(ev string) func(Window) bool {
+		return func(w Window) bool { log = append(log, fmt.Sprintf("%s%d", ev, w.Target)); return true }
+	}
+	New(cfg, sim.NewRNG(1)).Arm(eng, map[string]Hook{
+		"queuestall": {On: add("stall"), Off: func(Window) bool { return true }},
+		"corecrash":  {On: add("crash"), Off: func(Window) bool { return true }},
+	})
 	eng.Run(sim.Time(20 * sim.Millisecond))
 	if want := []string{"crash2", "crash1", "stall3"}; !reflect.DeepEqual(log, want) {
 		t.Fatalf("same-instant firing order = %v, want %v", log, want)
 	}
+}
+
+// Only recoveries and heals have an off-counter, and an ending counts
+// only when its hook reports it took: a refused reboot or core recovery
+// counts nothing, and stall or slow endings never count.
+func TestArmCountsEndingsOnlyWhenTaken(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := Config{
+		CoreCrashes: []CoreCrash{{Core: 1, At: sim.Millisecond, Duration: sim.Millisecond}},
+		QueueStalls: []QueueStall{{Queue: 0, At: sim.Millisecond, Duration: sim.Millisecond}},
+		NodeCrashes: []NodeCrash{{Node: 1, At: sim.Millisecond, Duration: sim.Millisecond}},
+		NodeSlows:   []NodeSlow{{Node: 2, At: sim.Millisecond, Duration: sim.Millisecond, Factor: 2}},
+		Partitions:  []Partition{{Node: 3, At: sim.Millisecond, Duration: sim.Millisecond}},
+	}
+	inj := New(cfg, sim.NewRNG(1))
+	took := func(Window) bool { return true }
+	refused := func(Window) bool { return false }
+	ends := 0
+	ended := func(Window) bool { ends++; return true }
+	inj.Arm(eng, map[string]Hook{
+		"corecrash":  {On: took, Off: refused},
+		"queuestall": {On: took, Off: ended},
+		"nodecrash":  {On: took, Off: refused},
+		"nodeslow":   {On: took, Off: ended},
+		"partition":  {On: took, Off: ended},
+	})
+	eng.Run(sim.Time(10 * sim.Millisecond))
+	want := Stats{CoreCrashes: 1, QueueStalls: 1, NodeCrashes: 1, NodeSlows: 1, Partitions: 1, PartitionHeals: 1}
+	if st := inj.Stats(); st != want || ends != 3 {
+		t.Fatalf("stats = %+v with %d endings, want %+v with 3", st, ends, want)
+	}
+}
+
+// A hook for a key that names no window class is a wiring bug, caught
+// when the schedule is armed rather than silently never firing.
+func TestArmRejectsUnknownHook(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Arm accepted a hook for a scalar key")
+		}
+	}()
+	New(Config{WireLossProb: 0.1}, sim.NewRNG(1)).Arm(sim.NewEngine(), map[string]Hook{"loss": {}})
 }

@@ -83,7 +83,8 @@ func TestValidateLinkFaults(t *testing.T) {
 	}
 }
 
-// StartLinkFaults arms exactly the scheduled interconnect faults:
+// Arm with the cluster's fabric hooks arms exactly the scheduled
+// interconnect faults:
 // cuts fire at their instants with their direction, timed heals follow
 // only when the cut took, slow and lossy windows bracket their
 // durations, and vetoed faults (already-cut leg, already-degraded
@@ -107,34 +108,41 @@ func TestStartLinkFaultsSchedule(t *testing.T) {
 	inj := New(cfg, sim.NewRNG(1))
 	var log []string
 	add := func(ev string, at sim.Time) { log = append(log, ev+"@"+sim.Duration(at).String()) }
-	inj.StartLinkFaults(eng,
-		func(node int, dir LinkDir) bool {
-			if node == 1 && dir != LinkBoth {
-				t.Fatalf("full partition delivered dir %d, want LinkBoth", dir)
-			}
-			if node == 0 && dir != LinkRx {
-				t.Fatalf("one-way partition delivered dir %d, want LinkRx", dir)
-			}
-			add("cut", eng.Now())
-			return node != 2
+	inj.Arm(eng, map[string]Hook{
+		"partition": {
+			On: func(w Window) bool {
+				if w.Target == 1 && w.Dir != LinkBoth {
+					t.Fatalf("full partition delivered dir %d, want LinkBoth", w.Dir)
+				}
+				if w.Target == 0 && w.Dir != LinkRx {
+					t.Fatalf("one-way partition delivered dir %d, want LinkRx", w.Dir)
+				}
+				add("cut", eng.Now())
+				return w.Target != 2
+			},
+			Off: func(w Window) bool { add("heal", eng.Now()); return true },
 		},
-		func(node int, dir LinkDir) { add("heal", eng.Now()) },
-		func(node int, factor float64) bool {
-			if node == 3 && factor != 8 {
-				t.Fatalf("slow factor = %g, want 8", factor)
-			}
-			add("slow", eng.Now())
-			return node != 4
+		"linkslow": {
+			On: func(w Window) bool {
+				if w.Target == 3 && w.X != 8 {
+					t.Fatalf("slow factor = %g, want 8", w.X)
+				}
+				add("slow", eng.Now())
+				return w.Target != 4
+			},
+			Off: func(w Window) bool { add("unslow", eng.Now()); return true },
 		},
-		func(node int) { add("unslow", eng.Now()) },
-		func(node int, p float64) bool {
-			if p != 0.25 {
-				t.Fatalf("loss probability = %g, want 0.25", p)
-			}
-			add("loss-on", eng.Now())
-			return true
+		"linkloss": {
+			On: func(w Window) bool {
+				if w.X != 0.25 {
+					t.Fatalf("loss probability = %g, want 0.25", w.X)
+				}
+				add("loss-on", eng.Now())
+				return true
+			},
+			Off: func(w Window) bool { add("loss-off", eng.Now()); return true },
 		},
-		func(node int) { add("loss-off", eng.Now()) })
+	})
 	eng.Run(sim.Time(100 * sim.Millisecond))
 	want := []string{
 		"cut@10ms", "slow@12ms", "heal@15ms", "unslow@15ms",
@@ -161,13 +169,10 @@ func TestLinkFaultsSameInstantClassOrder(t *testing.T) {
 	}
 	var log []string
 	add := func(ev string, node int) bool { log = append(log, ev+strconv.Itoa(node)); return true }
-	New(cfg, sim.NewRNG(1)).StartLinkFaults(eng,
-		func(node int, dir LinkDir) bool { return add("cut", node) },
-		func(node int, dir LinkDir) {},
-		func(node int, factor float64) bool { return add("slow", node) },
-		func(node int) {},
-		func(node int, p float64) bool { return add("loss", node) },
-		func(node int) {})
+	on := func(ev string) Hook {
+		return Hook{On: func(w Window) bool { return add(ev, w.Target) }, Off: func(Window) bool { return true }}
+	}
+	New(cfg, sim.NewRNG(1)).Arm(eng, map[string]Hook{"linkloss": on("loss"), "linkslow": on("slow"), "partition": on("cut")})
 	eng.Run(sim.Time(20 * sim.Millisecond))
 	if want := []string{"cut3", "cut2", "slow1", "loss0"}; !reflect.DeepEqual(log, want) {
 		t.Fatalf("same-instant firing order = %v, want %v", log, want)

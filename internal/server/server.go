@@ -210,12 +210,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: throttle P-state %d out of range for %s (max P%d)",
 			c.Faults.ThrottlePState, c.Model.Name, c.Model.MaxP())
 	}
+	if err := c.Faults.CheckRange(faults.ServerLayer, c.Model.NumCores); err != nil {
+		return fmt.Errorf("server: %s: %w", c.Model.Name, err)
+	}
 	permanent := 0
 	for _, cc := range c.Faults.CoreCrashes {
-		if cc.Core >= c.Model.NumCores {
-			return fmt.Errorf("server: corecrash core %d out of range for %s (%d cores)",
-				cc.Core, c.Model.Name, c.Model.NumCores)
-		}
 		if cc.Duration == 0 {
 			permanent++
 		}
@@ -223,12 +222,6 @@ func (c Config) Validate() error {
 	if permanent >= c.Model.NumCores {
 		return fmt.Errorf("server: %d permanent core crashes would kill all %d cores of %s",
 			permanent, c.Model.NumCores, c.Model.Name)
-	}
-	for _, qs := range c.Faults.QueueStalls {
-		if qs.Queue >= c.Model.NumCores {
-			return fmt.Errorf("server: queuestall queue %d out of range for %s (%d queues)",
-				qs.Queue, c.Model.Name, c.Model.NumCores)
-		}
 	}
 	return c.Retry.Validate()
 }
@@ -777,7 +770,10 @@ func (s *Server) StartNode() {
 		pstate = s.Cfg.Model.MaxP()
 	}
 	s.inj.StartThrottler(s.Eng, s.Cfg.Model.NumCores, pstate, s.Proc.Throttle, s.Proc.Unthrottle)
-	s.inj.StartHardFaults(s.Eng, s.crashCore, s.recoverCore, s.stallQueue, s.unstallQueue)
+	s.inj.Arm(s.Eng, map[string]faults.Hook{
+		"corecrash":  {On: s.crashCore, Off: s.recoverCore},
+		"queuestall": {On: s.stallQueue, Off: s.unstallQueue},
+	})
 }
 
 // crashCore hard-fails one core end to end: the kernel settles (in-
@@ -788,7 +784,8 @@ func (s *Server) StartNode() {
 // backlog — and a failure-aware policy is told to stop driving the
 // core. The last online core never dies: a cluster that loses every
 // node is outside this model's scope.
-func (s *Server) crashCore(core int) bool {
+func (s *Server) crashCore(w faults.Window) bool {
+	core := w.Target
 	if core < 0 || core >= len(s.Kernels) {
 		return false
 	}
@@ -818,7 +815,8 @@ func (s *Server) crashCore(core int) bool {
 // node-level crash swept up (or that RecoverNode already restored) is
 // not this event's to recover, and the injector only counts recoveries
 // that took effect.
-func (s *Server) recoverCore(core int) bool {
+func (s *Server) recoverCore(w faults.Window) bool {
+	core := w.Target
 	if core < 0 || core >= len(s.Kernels) || !s.Proc.IsOffline(core) {
 		return false
 	}
@@ -835,19 +833,20 @@ func (s *Server) recoverCore(core int) bool {
 }
 
 // stallQueue wedges one Rx ring (the queuestall hard fault).
-func (s *Server) stallQueue(q int) bool {
-	if q < 0 || q >= s.Cfg.Model.NumCores {
+func (s *Server) stallQueue(w faults.Window) bool {
+	if w.Target < 0 || w.Target >= s.Cfg.Model.NumCores {
 		return false
 	}
-	return s.NIC.StallQueue(q)
+	return s.NIC.StallQueue(w.Target)
 }
 
 // unstallQueue lifts a ring stall.
-func (s *Server) unstallQueue(q int) {
-	if q < 0 || q >= s.Cfg.Model.NumCores {
-		return
+func (s *Server) unstallQueue(w faults.Window) bool {
+	if w.Target < 0 || w.Target >= s.Cfg.Model.NumCores {
+		return false
 	}
-	s.NIC.UnstallQueue(q)
+	s.NIC.UnstallQueue(w.Target)
+	return true
 }
 
 // CrashNode hard-fails the whole assembly — the node-level failure
