@@ -51,6 +51,7 @@ func resetHarness(t *testing.T) {
 		experiments.SetCellFault(nil)
 		experiments.SetCellRetry(experiments.HarnessRetry{})
 		experiments.SetMemoryBudget(0)
+		experiments.SetParallelism(0)
 	})
 }
 
@@ -322,9 +323,14 @@ func TestChaosENOSPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The budget is sized from cell 0's record, so cell 0 must be the
+	// first one journaled: with more workers a larger cell can finish
+	// first, and its own first write overruns the budget.
+	experiments.SetParallelism(1)
 	experiments.SetJournal(j)
 	cells, err := experiments.RunSpecsCtx(context.Background(), specs)
 	experiments.SetJournal(nil)
+	experiments.SetParallelism(0)
 	j.Close()
 	if !errors.Is(err, experiments.ErrJournalWrite) {
 		t.Fatalf("full disk not surfaced as ErrJournalWrite: %v", err)
