@@ -53,7 +53,7 @@ func Parallelism() int {
 // calls have finished. Callers write results into index i of a pre-sized
 // slice, which preserves the deterministic serial order. A panic in any
 // fn is re-raised on the calling goroutine once the pool has drained,
-// matching the serial behaviour of MustRun.
+// matching the serial loop, where it would propagate directly.
 func forEach(n int, fn func(i int)) {
 	workers := Parallelism()
 	if workers > n {

@@ -359,13 +359,3 @@ func Run(spec Spec) (server.Result, error) {
 	recordAudit(res.Audit)
 	return res, err
 }
-
-// MustRun is Run with a panic on assembly errors (experiment tables use
-// fixed, known-good names).
-func MustRun(spec Spec) server.Result {
-	r, err := Run(spec)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}

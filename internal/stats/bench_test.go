@@ -46,7 +46,9 @@ func BenchmarkHistAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if h.N() == benchSamples {
-			h.Reset()
+			b.StopTimer()
+			h = NewHist(benchSamples)
+			b.StartTimer()
 		}
 		h.Add(vals[i&8191])
 	}

@@ -145,18 +145,6 @@ func (h *Hist) Add(d sim.Duration) {
 // N returns the number of samples.
 func (h *Hist) N() int { return int(h.n) }
 
-// Reset empties the histogram in place, keeping its mode and allocated
-// capacity, so a harness can reuse one recorder across runs without
-// reallocating.
-func (h *Hist) Reset() {
-	h.samples = h.samples[:0]
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
-	h.sorted = false
-}
-
 // histJSON is the streaming-mode wire form: the non-zero buckets as
 // (index, count) pairs plus the exact scalars. The exact mode keeps the
 // seed's raw-sample-array encoding, so existing journals stay readable.
