@@ -212,8 +212,8 @@ func (f *fabric) landResp(a any) {
 }
 
 // cut severs the targeted leg(s), reporting whether any went from
-// connected to cut; heal restores exactly what cut severed. Overlapping
-// cuts nest per leg.
+// connected to cut; heal restores exactly what cut severed and always
+// reports true, so every heal is counted. Overlapping cuts nest per leg.
 func (f *fabric) cut(w faults.Window) bool {
 	tx := w.Dir == faults.LinkBoth || w.Dir == faults.LinkTx
 	rx := w.Dir == faults.LinkBoth || w.Dir == faults.LinkRx
