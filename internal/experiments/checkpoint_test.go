@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nmapsim/internal/faults"
 	"nmapsim/internal/server"
 	"nmapsim/internal/sim"
 	"nmapsim/internal/workload"
@@ -135,5 +136,31 @@ func TestSpecHashStableAndDistinct(t *testing.T) {
 	other.Idle = "disable"
 	if SpecHash(other) == h0 {
 		t.Fatal("idle policy change did not change the hash")
+	}
+}
+
+// TestSpecHashPinned is the journal-compatibility gate: the hash of one
+// fixed spec, with every harness default that feeds it (faults, request
+// retry, audit, streaming) non-zero, is pinned to a literal. A journal
+// written by an earlier build resumes only while these bytes hold.
+func TestSpecHashPinned(t *testing.T) {
+	f, err := faults.ParseSpec("loss=0.02,irqloss=0.001,irqjitter=2us,throttle=50/2ms@10,corecrash=1@150ms:100ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetInjection(f, workload.RetryConfig{Timeout: 20 * sim.Millisecond, MaxRetries: 4})
+	SetAudit(true)
+	SetStreaming(true)
+	defer func() {
+		SetInjection(faults.Config{}, workload.RetryConfig{})
+		SetAudit(false)
+		SetStreaming(false)
+	}()
+	spec := checkpointSpecs()[1]
+	spec.Idle = "c6only"
+	spec.Policy = "nmap"
+	const want = "223285ddc5ad5644c97c428bdc8c3e95"
+	if got := SpecHash(spec); got != want {
+		t.Fatalf("SpecHash = %s, want %s", got, want)
 	}
 }
