@@ -288,10 +288,9 @@ func endToEndBestOf(n int, span sim.Duration) endToEnd {
 }
 
 func timeFig12(workers int) (time.Duration, error) {
-	experiments.SetParallelism(workers)
-	defer experiments.SetParallelism(0)
+	h := &experiments.Harness{Parallel: workers}
 	start := time.Now()
-	cells, err := experiments.Fig12And13(experiments.Quick)
+	cells, err := h.Fig12And13(experiments.Quick)
 	if err != nil {
 		return 0, err
 	}

@@ -19,6 +19,7 @@ func v2Line(seq uint64, payload string) string {
 // whitespace-only line, and a v2 header with no payload are three
 // distinct states and must not be lumped into torn/bad-crc.
 func TestFsckDegenerateJournals(t *testing.T) {
+	t.Parallel()
 	good := `{"spec":"aaaa","result":{}}`
 	cases := []struct {
 		name     string

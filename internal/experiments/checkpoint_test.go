@@ -64,10 +64,11 @@ func sameResult(t *testing.T, tag string, a, b server.Result) {
 // as a real kill mid-write leaves) is resumed over the full spec list,
 // and every result must match an uninterrupted sweep exactly.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
+	t.Parallel()
 	specs := checkpointSpecs()
 
 	// Uninterrupted reference sweep, no journal.
-	want, err := RunSpecs(specs)
+	want, err := new(Harness).RunSpecs(specs)
 	if err != nil {
 		t.Fatalf("reference sweep: %v", err)
 	}
@@ -78,9 +79,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
-	SetJournal(j)
-	defer SetJournal(nil)
-	if _, err := RunSpecs(specs[:2]); err != nil {
+	if _, err := (&Harness{Journal: j}).RunSpecs(specs[:2]); err != nil {
 		t.Fatalf("partial sweep: %v", err)
 	}
 	j.Close()
@@ -104,8 +103,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if n := j2.Len(); n != 2 {
 		t.Fatalf("journal reloaded %d cells, want 2 (torn line must be dropped)", n)
 	}
-	SetJournal(j2)
-	got, err := RunSpecs(specs)
+	got, err := (&Harness{Journal: j2}).RunSpecs(specs)
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
@@ -119,22 +117,24 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 }
 
 func TestSpecHashStableAndDistinct(t *testing.T) {
+	t.Parallel()
+	h := new(Harness)
 	specs := checkpointSpecs()
-	h0 := SpecHash(specs[0])
-	if h0 != SpecHash(specs[0]) {
+	h0 := h.SpecHash(specs[0])
+	if h0 != h.SpecHash(specs[0]) {
 		t.Fatal("SpecHash is not stable for an identical spec")
 	}
 	seen := map[string]bool{}
 	for _, s := range specs {
-		h := SpecHash(s)
-		if seen[h] {
-			t.Fatalf("distinct specs collide on hash %s", h)
+		sum := h.SpecHash(s)
+		if seen[sum] {
+			t.Fatalf("distinct specs collide on hash %s", sum)
 		}
-		seen[h] = true
+		seen[sum] = true
 	}
 	other := specs[0]
 	other.Idle = "disable"
-	if SpecHash(other) == h0 {
+	if h.SpecHash(other) == h0 {
 		t.Fatal("idle policy change did not change the hash")
 	}
 }
@@ -144,23 +144,22 @@ func TestSpecHashStableAndDistinct(t *testing.T) {
 // retry, audit, streaming) non-zero, is pinned to a literal. A journal
 // written by an earlier build resumes only while these bytes hold.
 func TestSpecHashPinned(t *testing.T) {
+	t.Parallel()
 	f, err := faults.ParseSpec("loss=0.02,irqloss=0.001,irqjitter=2us,throttle=50/2ms@10,corecrash=1@150ms:100ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetInjection(f, workload.RetryConfig{Timeout: 20 * sim.Millisecond, MaxRetries: 4})
-	SetAudit(true)
-	SetStreaming(true)
-	defer func() {
-		SetInjection(faults.Config{}, workload.RetryConfig{})
-		SetAudit(false)
-		SetStreaming(false)
-	}()
+	h := &Harness{
+		Faults: f,
+		Retry:  workload.RetryConfig{Timeout: 20 * sim.Millisecond, MaxRetries: 4},
+		Audit:  true,
+		Stream: true,
+	}
 	spec := checkpointSpecs()[1]
 	spec.Idle = "c6only"
 	spec.Policy = "nmap"
 	const want = "223285ddc5ad5644c97c428bdc8c3e95"
-	if got := SpecHash(spec); got != want {
+	if got := h.SpecHash(spec); got != want {
 		t.Fatalf("SpecHash = %s, want %s", got, want)
 	}
 }

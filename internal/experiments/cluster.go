@@ -70,14 +70,9 @@ const clusterLoadFrac = 0.7
 // fraction of the fleet's aggregate TDP.
 const clusterCapFrac = 0.45
 
-// FigCluster runs the fleet scenario to completion (no cancellation).
-func FigCluster(q Quality, nodes int, route string, hedge bool) (ClusterFigure, error) {
-	return FigClusterCtx(context.Background(), q, nodes, route, hedge)
-}
-
 // FigClusterCtx runs memcached across a cluster of NMAP nodes behind
-// the routing front end, kills node 1 mid-run (unless the injection
-// default already schedules node faults), and plots the per-bucket
+// the routing front end, kills node 1 mid-run (unless the harness
+// faults already schedule node faults), and plots the per-bucket
 // cluster P99 / resteer / offline-node timeline for two arms: per-node
 // NMAP governors, and per-node ondemand under a fleet power cap.
 //
@@ -91,7 +86,7 @@ func FigCluster(q Quality, nodes int, route string, hedge bool) (ClusterFigure, 
 // all its per-node results in input order (Done=false), never-started
 // arms are absent, and ctx.Err() is returned alongside the partial
 // figure.
-func FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedge bool) (ClusterFigure, error) {
+func (h *Harness) FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedge bool) (ClusterFigure, error) {
 	if nodes < 1 {
 		return ClusterFigure{}, fmt.Errorf("experiments: fig-cluster needs at least 1 node, got %d", nodes)
 	}
@@ -99,7 +94,14 @@ func FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedg
 	warm, dur := q.warmup(), q.duration()
 	bucket := dur / 20
 
-	f, retry := Injection()
+	ncfg := h.spec(Spec{Cfg: server.Config{
+		Seed:     defaultSeed,
+		Profile:  prof,
+		RPS:      prof.HighRPS * float64(nodes) * clusterLoadFrac,
+		Warmup:   warm,
+		Duration: dur,
+	}}).Cfg
+	f := &ncfg.Faults
 	if nodes > 1 && len(f.NodeCrashes) == 0 && len(f.NodeSlows) == 0 {
 		// Default scenario: node 1 dies roughly a quarter into the
 		// measured window and reboots a quarter later. The instant is
@@ -124,15 +126,6 @@ func FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedg
 		fig.RecoverAtMs = int((nc.At + nc.Duration) / sim.Millisecond)
 	}
 
-	ncfg := server.Config{
-		Seed:     defaultSeed,
-		Profile:  prof,
-		RPS:      prof.HighRPS * float64(nodes) * clusterLoadFrac,
-		Warmup:   warm,
-		Duration: dur,
-		Faults:   f,
-		Retry:    retry,
-	}
 	fleetCapW := clusterCapFrac * float64(nodes) * cpu.XeonGold6134.MaxPowerW()
 	arms := []struct {
 		name   string
@@ -149,7 +142,7 @@ func FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedg
 	outs := make([]ClusterArm, len(arms))
 	errs := make([]error, len(arms))
 	started := make([]bool, len(arms))
-	forEach(len(arms), func(i int) {
+	h.forEach(len(arms), func(i int) {
 		if ctx != nil && ctx.Err() != nil {
 			errs[i] = ctx.Err()
 			return
@@ -166,7 +159,7 @@ func FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedg
 		if hedge {
 			ccfg.Hedge = cluster.HedgeConfig{Enabled: true}
 		}
-		outs[i], errs[i] = runClusterArm(ctx, ccfg, a.policy, a.name, warm+dur, bucket)
+		outs[i], errs[i] = h.runClusterArm(ctx, ccfg, a.policy, a.name, warm+dur, bucket)
 	})
 	for i := range arms {
 		if started[i] {
@@ -187,7 +180,7 @@ func FigClusterCtx(ctx context.Context, q Quality, nodes int, route string, hedg
 // runClusterArm executes one arm, bucketing front-end completions by
 // completion time and sampling the resteer/offline counters on a
 // ticker. The arm's Result is valid even when the run was cut short.
-func runClusterArm(ctx context.Context, ccfg cluster.Config, policy, name string,
+func (h *Harness) runClusterArm(ctx context.Context, ccfg cluster.Config, policy, name string,
 	total, bucket sim.Duration) (ClusterArm, error) {
 	arm := ClusterArm{Name: name, CapW: ccfg.FleetPowerCapW}
 	cl, err := cluster.New(ccfg, func(_ int, ncfg server.Config, eng *sim.Engine) (*server.Server, error) {
@@ -217,7 +210,7 @@ func runClusterArm(ctx context.Context, ccfg cluster.Config, policy, name string
 	})
 	res, err := cl.Run(ctx)
 	stop()
-	recordAudit(res.Audit)
+	h.recordAudit(res.Audit)
 	arm.Result = res
 	var prev uint64
 	for i := 0; i < n; i++ {

@@ -13,13 +13,12 @@ import (
 // present in input order, untouched arms are absent, and the figure
 // still renders.
 func TestFigClusterCtxCancelCheckpointsPartial(t *testing.T) {
+	t.Parallel()
 	// Pin the worker pool to one so exactly the first arm is in flight
 	// at the deadline regardless of the host's core count.
-	SetParallelism(1)
-	defer SetParallelism(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	fig, err := FigClusterCtx(ctx, Quick, 3, "rr", false)
+	fig, err := (&Harness{Parallel: 1}).FigClusterCtx(ctx, Quick, 3, "rr", false)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want the ctx cause", err)
 	}
@@ -42,9 +41,10 @@ func TestFigClusterCtxCancelCheckpointsPartial(t *testing.T) {
 // A pre-cancelled ctx yields no arms at all — nothing ran, nothing is
 // fabricated.
 func TestFigClusterCtxPreCancelled(t *testing.T) {
+	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	fig, err := FigClusterCtx(ctx, Quick, 2, "rr", false)
+	fig, err := new(Harness).FigClusterCtx(ctx, Quick, 2, "rr", false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -57,11 +57,13 @@ func TestFigClusterCtxPreCancelled(t *testing.T) {
 // identical bytes, and the default scenario actually exercises the
 // resteer path.
 func TestFigClusterDeterministic(t *testing.T) {
-	a, err := FigCluster(Quick, 2, "rr", false)
+	t.Parallel()
+	h := new(Harness)
+	a, err := h.FigClusterCtx(context.Background(), Quick, 2, "rr", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FigCluster(Quick, 2, "rr", false)
+	b, err := h.FigClusterCtx(context.Background(), Quick, 2, "rr", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"nmapsim/internal/baselines"
 	"nmapsim/internal/cpu"
 	"nmapsim/internal/governor"
@@ -58,7 +60,7 @@ type TraceFigure struct {
 
 // RunTrace runs one traced configuration and samples the window
 // [warmup, warmup+window).
-func RunTrace(profile *workload.Profile, level workload.Level, policy, idle string, window sim.Duration, q Quality) (TraceFigure, error) {
+func (h *Harness) RunTrace(profile *workload.Profile, level workload.Level, policy, idle string, window sim.Duration, q Quality) (TraceFigure, error) {
 	spec := Spec{
 		Policy: policy,
 		Idle:   idle,
@@ -70,14 +72,12 @@ func RunTrace(profile *workload.Profile, level workload.Level, policy, idle stri
 			Duration: window,
 		},
 	}
-	s, err := Build(spec)
+	s, err := Build(h.spec(spec))
 	if err != nil {
 		return TraceFigure{}, err
 	}
 	tr := NewTrace(s, 0)
-	guardCell(nil, s)
-	res, err := s.Run()
-	recordAudit(res.Audit)
+	res, err := h.run(context.Background(), s)
 	if err != nil {
 		return TraceFigure{}, err
 	}
@@ -107,12 +107,20 @@ func RunTrace(profile *workload.Profile, level workload.Level, policy, idle stri
 	}, nil
 }
 
-// traceSet runs a list of trace configurations, stopping at the first
-// failure.
-func traceSet(q Quality, runs ...func(Quality) (TraceFigure, error)) ([]TraceFigure, error) {
+// traceRun is one trace-figure configuration: an app at a load level
+// under a V/F policy, with the menu idle governor.
+type traceRun struct {
+	profile *workload.Profile
+	level   workload.Level
+	policy  string
+}
+
+// traceSet traces each configuration's 500ms window in turn, stopping at
+// the first failure.
+func (h *Harness) traceSet(q Quality, runs ...traceRun) ([]TraceFigure, error) {
 	out := make([]TraceFigure, 0, len(runs))
-	for _, run := range runs {
-		tf, err := run(q)
+	for _, r := range runs {
+		tf, err := h.RunTrace(r.profile, r.level, r.policy, "menu", 500*sim.Millisecond, q)
 		if err != nil {
 			return out, err
 		}
@@ -123,37 +131,25 @@ func traceSet(q Quality, runs ...func(Quality) (TraceFigure, error)) ([]TraceFig
 
 // Fig2 reproduces Fig 2: ksoftirqd wake-ups, the ondemand P-state, and
 // the interrupt/polling packet split at high load for both apps.
-func Fig2(q Quality) ([]TraceFigure, error) {
-	return traceSet(q,
-		func(q Quality) (TraceFigure, error) {
-			return RunTrace(workload.Memcached(), workload.High, "ondemand", "menu", 500*sim.Millisecond, q)
-		},
-		func(q Quality) (TraceFigure, error) {
-			return RunTrace(workload.Nginx(), workload.High, "ondemand", "menu", 500*sim.Millisecond, q)
-		})
+func (h *Harness) Fig2(q Quality) ([]TraceFigure, error) {
+	return h.traceSet(q,
+		traceRun{workload.Memcached(), workload.High, "ondemand"},
+		traceRun{workload.Nginx(), workload.High, "ondemand"})
 }
 
 // Fig9 reproduces Fig 9: the same view under NMAP.
-func Fig9(q Quality) ([]TraceFigure, error) {
-	return traceSet(q,
-		func(q Quality) (TraceFigure, error) {
-			return RunTrace(workload.Memcached(), workload.High, "nmap", "menu", 500*sim.Millisecond, q)
-		},
-		func(q Quality) (TraceFigure, error) {
-			return RunTrace(workload.Nginx(), workload.High, "nmap", "menu", 500*sim.Millisecond, q)
-		})
+func (h *Harness) Fig9(q Quality) ([]TraceFigure, error) {
+	return h.traceSet(q,
+		traceRun{workload.Memcached(), workload.High, "nmap"},
+		traceRun{workload.Nginx(), workload.High, "nmap"})
 }
 
 // Fig7 reproduces Fig 7: CC6 entries and the packet split under the
 // menu governor at low and high memcached load (performance governor).
-func Fig7(q Quality) ([]TraceFigure, error) {
-	return traceSet(q,
-		func(q Quality) (TraceFigure, error) {
-			return RunTrace(workload.Memcached(), workload.Low, "performance", "menu", 500*sim.Millisecond, q)
-		},
-		func(q Quality) (TraceFigure, error) {
-			return RunTrace(workload.Memcached(), workload.High, "performance", "menu", 500*sim.Millisecond, q)
-		})
+func (h *Harness) Fig7(q Quality) ([]TraceFigure, error) {
+	return h.traceSet(q,
+		traceRun{workload.Memcached(), workload.Low, "performance"},
+		traceRun{workload.Memcached(), workload.High, "performance"})
 }
 
 // ---------------------------------------------------------------------
@@ -175,7 +171,7 @@ type LatencyFigure struct {
 
 // RunLatency runs one configuration and extracts the Fig-3-style
 // scatter and Fig-4-style CDF.
-func RunLatency(profile *workload.Profile, level workload.Level, policy, idle string, q Quality) (LatencyFigure, error) {
+func (h *Harness) RunLatency(profile *workload.Profile, level workload.Level, policy, idle string, q Quality) (LatencyFigure, error) {
 	spec := Spec{
 		Policy: policy,
 		Idle:   idle,
@@ -187,14 +183,12 @@ func RunLatency(profile *workload.Profile, level workload.Level, policy, idle st
 			Duration: q.duration(),
 		},
 	}
-	s, err := Build(spec)
+	s, err := Build(h.spec(spec))
 	if err != nil {
 		return LatencyFigure{}, err
 	}
 	tr := NewTrace(s, 0)
-	guardCell(nil, s)
-	res, err := s.Run()
-	recordAudit(res.Audit)
+	res, err := h.run(context.Background(), s)
 	if err != nil {
 		return LatencyFigure{}, err
 	}
@@ -213,11 +207,11 @@ func RunLatency(profile *workload.Profile, level workload.Level, policy, idle st
 
 // Fig3And4 reproduces Figs 3 and 4: per-request latency and CDFs for
 // ondemand vs performance at high load on both applications.
-func Fig3And4(q Quality) ([]LatencyFigure, error) {
+func (h *Harness) Fig3And4(q Quality) ([]LatencyFigure, error) {
 	var out []LatencyFigure
 	for _, prof := range workload.Profiles() {
 		for _, pol := range []string{"ondemand", "performance"} {
-			lf, err := RunLatency(prof, workload.High, pol, "menu", q)
+			lf, err := h.RunLatency(prof, workload.High, pol, "menu", q)
 			if err != nil {
 				return out, err
 			}
@@ -228,10 +222,10 @@ func Fig3And4(q Quality) ([]LatencyFigure, error) {
 }
 
 // Fig10And11 reproduces Figs 10 and 11: the same view under NMAP.
-func Fig10And11(q Quality) ([]LatencyFigure, error) {
+func (h *Harness) Fig10And11(q Quality) ([]LatencyFigure, error) {
 	var out []LatencyFigure
 	for _, prof := range workload.Profiles() {
-		lf, err := RunLatency(prof, workload.High, "nmap", "menu", q)
+		lf, err := h.RunLatency(prof, workload.High, "nmap", "menu", q)
 		if err != nil {
 			return out, err
 		}
@@ -278,7 +272,7 @@ type Fig8Point struct {
 // three sleep-state policies. Energy is reported raw; the caller
 // normalises to menu as the paper does. Cells run on the harness worker
 // pool in deterministic order.
-func Fig8(q Quality) ([]Fig8Point, error) {
+func (h *Harness) Fig8(q Quality) ([]Fig8Point, error) {
 	prof := workload.Memcached()
 	loads := []float64{30_000, 150_000, 290_000, 450_000, 600_000, 750_000}
 	if q == Quick {
@@ -300,7 +294,7 @@ func Fig8(q Quality) ([]Fig8Point, error) {
 			})
 		}
 	}
-	results, err := RunSpecs(specs)
+	results, err := h.RunSpecs(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +323,7 @@ type MatrixCell struct {
 // and load levels on both applications. Cells fan out over the harness
 // worker pool; the returned slice is in the serial cross-product order
 // and is byte-for-byte independent of the fan-out.
-func RunMatrix(policies, idles []string, q Quality) ([]MatrixCell, error) {
+func (h *Harness) RunMatrix(policies, idles []string, q Quality) ([]MatrixCell, error) {
 	var specs []Spec
 	var meta []MatrixCell
 	for _, prof := range workload.Profiles() {
@@ -354,7 +348,7 @@ func RunMatrix(policies, idles []string, q Quality) ([]MatrixCell, error) {
 			}
 		}
 	}
-	results, err := RunSpecs(specs)
+	results, err := h.RunSpecs(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -366,20 +360,20 @@ func RunMatrix(policies, idles []string, q Quality) ([]MatrixCell, error) {
 
 // Fig12And13 reproduces the Fig 12 (P99) and Fig 13 (energy) matrix:
 // five V/F policies × three sleep policies × three loads × two apps.
-func Fig12And13(q Quality) ([]MatrixCell, error) {
+func (h *Harness) Fig12And13(q Quality) ([]MatrixCell, error) {
 	idles := []string{"menu", "disable", "c6only"}
 	if q == Quick {
 		idles = []string{"menu"}
 	}
-	return RunMatrix(
+	return h.RunMatrix(
 		[]string{"intel_powersave", "ondemand", "performance", "nmap-simpl", "nmap"},
 		idles, q)
 }
 
 // Fig14And15 reproduces the Fig 14 (P99, SLO-normalised) and Fig 15
 // (energy) comparison with the state-of-the-art baselines.
-func Fig14And15(q Quality) ([]MatrixCell, error) {
-	return RunMatrix(
+func (h *Harness) Fig14And15(q Quality) ([]MatrixCell, error) {
+	return h.RunMatrix(
 		[]string{"ncap-menu", "ncap", "nmap-simpl", "nmap", "performance"},
 		[]string{"menu"}, q)
 }
@@ -399,7 +393,7 @@ type Fig16Result struct {
 
 // Fig16 runs memcached with the load switching uniformly among the
 // three levels every 500ms for 5 seconds, comparing NMAP and Parties.
-func Fig16(q Quality) ([]Fig16Result, error) {
+func (h *Harness) Fig16(q Quality) ([]Fig16Result, error) {
 	prof := workload.Memcached()
 	dur := 5 * sim.Duration(sim.Second)
 	if q == Quick {
@@ -419,14 +413,12 @@ func Fig16(q Quality) ([]Fig16Result, error) {
 				Duration:       dur,
 			},
 		}
-		s, err := Build(spec)
+		s, err := Build(h.spec(spec))
 		if err != nil {
 			return out, err
 		}
 		tr := NewTrace(s, 0)
-		guardCell(nil, s)
-		res, err := s.Run()
-		recordAudit(res.Audit)
+		res, err := h.run(context.Background(), s)
 		if err != nil {
 			return out, err
 		}
@@ -461,42 +453,52 @@ type AblationCell struct {
 	Violated    bool
 }
 
+// ablate runs an ablation's cells on the worker pool and names each
+// result row.
+func (h *Harness) ablate(names []string, specs []Spec) ([]AblationCell, error) {
+	results, err := h.RunSpecs(specs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]AblationCell, len(results))
+	for i, res := range results {
+		out[i] = AblationCell{
+			Name: names[i], P99: res.Summary.P99, EnergyJ: res.EnergyJ,
+			Transitions: res.Transitions, Violated: res.Violated,
+		}
+	}
+	return out, nil
+}
+
 // AblationPerRequest contrasts NMAP with a per-request DVFS policy on
 // hardware with realistic re-transition latency (§5.1's argument: the
 // per-request policy issues orders of magnitude more V/F writes than
 // ever take effect, so its fine-grained decisions are simply not
 // reflected by the processor).
-func AblationPerRequest(q Quality) ([]AblationCell, error) {
+func (h *Harness) AblationPerRequest(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	cfg := server.Config{
 		Seed: defaultSeed, Profile: prof, Level: workload.High,
 		Warmup: q.warmup(), Duration: q.duration(),
 	}
+	names := []string{"nmap", "ondemand"}
 	var specs []Spec
-	for _, pol := range []string{"nmap", "ondemand"} {
+	for _, pol := range names {
 		specs = append(specs, Spec{Policy: pol, Idle: "menu", Cfg: cfg})
 	}
-	results, err := RunSpecs(specs)
+	out, err := h.ablate(names, specs)
 	if err != nil {
 		return nil, err
 	}
-	var out []AblationCell
-	for i, res := range results {
-		out = append(out, AblationCell{
-			Name: specs[i].Policy, P99: res.Summary.P99, EnergyJ: res.EnergyJ,
-			Transitions: res.Transitions, Violated: res.Violated,
-		})
-	}
 	// Assemble the per-request policy by hand to keep a handle on its
-	// attempted-write counter.
+	// attempted-write counter, on the same harness-folded config as the
+	// other rows.
 	idle, _ := governor.NewIdlePolicy("menu")
-	s := server.New(cfg, idle)
+	s := server.New(h.spec(Spec{Cfg: cfg}).Cfg, idle)
 	pr := baselines.NewPerRequest(s.Eng, s.Proc, s.Kernels)
 	s.AddListener(pr)
 	s.AttachPolicy(pr)
-	guardCell(nil, s)
-	res, err := s.Run()
-	recordAudit(res.Audit)
+	res, err := h.run(context.Background(), s)
 	if err != nil {
 		return out, err
 	}
@@ -509,15 +511,16 @@ func AblationPerRequest(q Quality) ([]AblationCell, error) {
 
 // AblationThresholds sweeps NI_TH around the profiled value to show the
 // detection-latency/energy trade-off.
-func AblationThresholds(q Quality) ([]AblationCell, error) {
+func (h *Harness) AblationThresholds(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	base := ProfiledThresholds(prof, 1042)
-	mults := []float64{0.25, 0.5, 1, 2, 4}
-	specs := make([]Spec, len(mults))
-	for i, mult := range mults {
+	var specs []Spec
+	var names []string
+	for _, mult := range []float64{0.25, 0.5, 1, 2, 4} {
 		th := base
 		th.NITh = base.NITh * mult
-		specs[i] = Spec{
+		names = append(names, "NI_TH x"+ftoa(mult))
+		specs = append(specs, Spec{
 			Policy:     "nmap",
 			Idle:       "menu",
 			Thresholds: th,
@@ -525,25 +528,14 @@ func AblationThresholds(q Quality) ([]AblationCell, error) {
 				Seed: defaultSeed, Profile: prof, Level: workload.High,
 				Warmup: q.warmup(), Duration: q.duration(),
 			},
-		}
-	}
-	results, err := RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationCell
-	for i, res := range results {
-		out = append(out, AblationCell{
-			Name: "NI_TH x" + ftoa(mults[i]), P99: res.Summary.P99,
-			EnergyJ: res.EnergyJ, Transitions: res.Transitions, Violated: res.Violated,
 		})
 	}
-	return out, nil
+	return h.ablate(names, specs)
 }
 
 // AblationChipWide contrasts per-core NMAP with a chip-wide variant
 // (the §6.3 argument for why NMAP beats NCAP).
-func AblationChipWide(q Quality) ([]AblationCell, error) {
+func (h *Harness) AblationChipWide(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	var specs []Spec
 	var names []string
@@ -563,27 +555,17 @@ func AblationChipWide(q Quality) ([]AblationCell, error) {
 			},
 		})
 	}
-	results, err := RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationCell
-	for i, res := range results {
-		out = append(out, AblationCell{
-			Name: names[i], P99: res.Summary.P99, EnergyJ: res.EnergyJ,
-			Transitions: res.Transitions, Violated: res.Violated,
-		})
-	}
-	return out, nil
+	return h.ablate(names, specs)
 }
 
 // AblationExtensions compares stock NMAP against the two future-work
 // extensions: online threshold tuning (no offline profiling) and
 // sleep-state integration.
-func AblationExtensions(q Quality) ([]AblationCell, error) {
+func (h *Harness) AblationExtensions(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
+	names := []string{"nmap", "nmap-online", "nmap-sleep"}
 	var specs []Spec
-	for _, pol := range []string{"nmap", "nmap-online", "nmap-sleep"} {
+	for _, pol := range names {
 		specs = append(specs, Spec{
 			Policy: pol,
 			Idle:   "menu",
@@ -593,24 +575,13 @@ func AblationExtensions(q Quality) ([]AblationCell, error) {
 			},
 		})
 	}
-	results, err := RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationCell
-	for i, res := range results {
-		out = append(out, AblationCell{
-			Name: specs[i].Policy, P99: res.Summary.P99, EnergyJ: res.EnergyJ,
-			Transitions: res.Transitions, Violated: res.Violated,
-		})
-	}
-	return out, nil
+	return h.ablate(names, specs)
 }
 
 // AblationRSS shows why per-core DVFS beats chip-wide when RSS is
 // lumpy (§6.3): with few client connections the per-queue loads differ,
 // so pulling every core to the hottest core's frequency wastes energy.
-func AblationRSS(q Quality) ([]AblationCell, error) {
+func (h *Harness) AblationRSS(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	var specs []Spec
 	var names []string
@@ -637,28 +608,19 @@ func AblationRSS(q Quality) ([]AblationCell, error) {
 			})
 		}
 	}
-	results, err := RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationCell
-	for i, res := range results {
-		out = append(out, AblationCell{
-			Name: names[i], P99: res.Summary.P99, EnergyJ: res.EnergyJ,
-			Transitions: res.Transitions, Violated: res.Violated,
-		})
-	}
-	return out, nil
+	return h.ablate(names, specs)
 }
 
 // AblationITR sweeps the NIC interrupt-throttle period: the ITR sets
 // how often the NAPI mode counters get a fresh interrupt window and how
 // bursty the hardirq load is, so it bounds NMAP's detection texture.
-func AblationITR(q Quality) ([]AblationCell, error) {
+func (h *Harness) AblationITR(q Quality) ([]AblationCell, error) {
 	prof := workload.Memcached()
 	var specs []Spec
+	var names []string
 	for _, itr := range []sim.Duration{5 * sim.Microsecond, 10 * sim.Microsecond,
 		20 * sim.Microsecond, 50 * sim.Microsecond} {
+		names = append(names, "ITR="+itr.String())
 		specs = append(specs, Spec{
 			Policy: "nmap",
 			Idle:   "menu",
@@ -669,18 +631,7 @@ func AblationITR(q Quality) ([]AblationCell, error) {
 			},
 		})
 	}
-	results, err := RunSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationCell
-	for i, res := range results {
-		out = append(out, AblationCell{
-			Name: "ITR=" + specs[i].Cfg.ITR.String(), P99: res.Summary.P99, EnergyJ: res.EnergyJ,
-			Transitions: res.Transitions, Violated: res.Violated,
-		})
-	}
-	return out, nil
+	return h.ablate(names, specs)
 }
 
 func ftoa(f float64) string {

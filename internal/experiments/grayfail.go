@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"nmapsim/internal/cluster"
@@ -50,11 +51,6 @@ func grayFabric() cluster.FabricConfig {
 	}
 }
 
-// FigGrayFail runs the gray-failure scenario to completion.
-func FigGrayFail(q Quality, nodes int, route string) (GrayFigure, error) {
-	return FigGrayFailCtx(context.Background(), q, nodes, route)
-}
-
 // FigGrayFailCtx runs memcached across a cluster whose node-1 link goes
 // gray mid-run: three linkslow windows (factor 8) across the first half
 // of the measured window, a one-way return-leg partition at 5/8 of the
@@ -68,7 +64,7 @@ func FigGrayFail(q Quality, nodes int, route string) (GrayFigure, error) {
 // byte-identically at any parallelism, like fig-cluster. Cancelling ctx
 // checkpoints finished and in-flight arms exactly as FigClusterCtx
 // does.
-func FigGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (GrayFigure, error) {
+func (h *Harness) FigGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (GrayFigure, error) {
 	if nodes < 2 {
 		return GrayFigure{}, fmt.Errorf("experiments: fig-grayfail needs at least 2 nodes, got %d", nodes)
 	}
@@ -77,7 +73,17 @@ func FigGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (Gr
 	bucket := dur / 20
 
 	const grayNode = 1
-	f, retry := Injection()
+	ncfg := h.spec(Spec{Cfg: server.Config{
+		Seed:     defaultSeed,
+		Profile:  prof,
+		RPS:      prof.HighRPS * float64(nodes) * clusterLoadFrac,
+		Warmup:   warm,
+		Duration: dur,
+	}}).Cfg
+	// The scenario's link faults are appended to the harness's own; the
+	// clipped slices never write into the Harness's backing arrays.
+	f := &ncfg.Faults
+	f.LinkSlows, f.Partitions, f.LinkLosses = slices.Clip(f.LinkSlows), slices.Clip(f.Partitions), slices.Clip(f.LinkLosses)
 	slowDur := dur / 16
 	slowAts := []sim.Duration{warm + dur/8, warm + dur/4, warm + 3*dur/8}
 	for _, at := range slowAts {
@@ -94,15 +100,6 @@ func FigGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (Gr
 		Node: grayNode, At: lossAt, Duration: slowDur, Prob: 0.05,
 	})
 
-	ncfg := server.Config{
-		Seed:     defaultSeed,
-		Profile:  prof,
-		RPS:      prof.HighRPS * float64(nodes) * clusterLoadFrac,
-		Warmup:   warm,
-		Duration: dur,
-		Faults:   f,
-		Retry:    retry,
-	}
 	fig := GrayFigure{
 		App:      prof.Name,
 		Nodes:    nodes,
@@ -130,7 +127,7 @@ func FigGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (Gr
 	outs := make([]ClusterArm, len(arms))
 	errs := make([]error, len(arms))
 	started := make([]bool, len(arms))
-	forEach(len(arms), func(i int) {
+	h.forEach(len(arms), func(i int) {
 		if ctx != nil && ctx.Err() != nil {
 			errs[i] = ctx.Err()
 			return
@@ -151,7 +148,7 @@ func FigGrayFailCtx(ctx context.Context, q Quality, nodes int, route string) (Gr
 		if a.hedge {
 			ccfg.Hedge = cluster.HedgeConfig{Enabled: true}
 		}
-		outs[i], errs[i] = runClusterArm(ctx, ccfg, "nmap", a.name, warm+dur, bucket)
+		outs[i], errs[i] = h.runClusterArm(ctx, ccfg, "nmap", a.name, warm+dur, bucket)
 	})
 	for i := range arms {
 		if started[i] {

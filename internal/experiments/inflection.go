@@ -30,7 +30,7 @@ type SweepPoint struct {
 // low-load baseline. The sweep runs under the performance governor (the
 // best-case configuration, as in the paper's SLO-setting procedure).
 // kneeFactor <= 1 defaults to 5.
-func FindInflection(profile *workload.Profile, lo, hi float64, steps int, kneeFactor float64, q Quality) (InflectionPoint, error) {
+func (h *Harness) FindInflection(profile *workload.Profile, lo, hi float64, steps int, kneeFactor float64, q Quality) (InflectionPoint, error) {
 	if steps < 2 {
 		steps = 2
 	}
@@ -41,7 +41,7 @@ func FindInflection(profile *workload.Profile, lo, hi float64, steps int, kneeFa
 	var baseline sim.Duration
 	for i := 0; i < steps; i++ {
 		rps := lo + (hi-lo)*float64(i)/float64(steps-1)
-		res, err := Run(Spec{
+		res, err := h.Run(Spec{
 			Policy: "performance",
 			Idle:   "menu",
 			Cfg: server.Config{

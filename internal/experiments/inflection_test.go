@@ -10,8 +10,9 @@ func TestFindInflectionLocatesKnee(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
+	t.Parallel()
 	prof := workload.Memcached()
-	inf, err := FindInflection(prof, 100_000, 900_000, 5, 5, Quick)
+	inf, err := new(Harness).FindInflection(prof, 100_000, 900_000, 5, 5, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,9 +34,10 @@ func TestFindInflectionNoKneeFallsBack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
+	t.Parallel()
 	prof := workload.Memcached()
 	// Sweep entirely in the flat region: no knee → last point reported.
-	inf, err := FindInflection(prof, 10_000, 50_000, 3, 50, Quick)
+	inf, err := new(Harness).FindInflection(prof, 10_000, 50_000, 3, 50, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

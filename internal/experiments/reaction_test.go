@@ -33,6 +33,7 @@ func syntheticTrace() TraceFigure {
 }
 
 func TestReactionTimesSynthetic(t *testing.T) {
+	t.Parallel()
 	rt := syntheticTrace().ReactionTimes(5)
 	if rt.Bursts != 2 || rt.Boosted != 2 {
 		t.Fatalf("bursts=%d boosted=%d, want 2/2", rt.Bursts, rt.Boosted)
@@ -46,6 +47,7 @@ func TestReactionTimesSynthetic(t *testing.T) {
 }
 
 func TestReactionTimesNeverBoosted(t *testing.T) {
+	t.Parallel()
 	tf := syntheticTrace()
 	for i := range tf.PState {
 		tf.PState[i] = 15 // never reaches P0
@@ -67,12 +69,14 @@ func TestReactionNMAPFasterThanOndemand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace runs are slow")
 	}
+	t.Parallel()
+	h := new(Harness)
 	window := 300 * sim.Millisecond
-	od, err := RunTrace(workload.Memcached(), workload.High, "ondemand", "menu", window, Quick)
+	od, err := h.RunTrace(workload.Memcached(), workload.High, "ondemand", "menu", window, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm, err := RunTrace(workload.Memcached(), workload.High, "nmap", "menu", window, Quick)
+	nm, err := h.RunTrace(workload.Memcached(), workload.High, "nmap", "menu", window, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"math"
+	"encoding/json"
 	"testing"
 
 	"nmapsim/internal/core"
@@ -11,55 +11,10 @@ import (
 	"nmapsim/internal/workload"
 )
 
-func TestRunSeedsAggregates(t *testing.T) {
-	spec := quickSpec("ondemand")
-	agg, err := RunSeeds(spec, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.P99Ms.N != 3 || len(agg.Runs) != 3 {
-		t.Fatalf("N = %d", agg.P99Ms.N)
-	}
-	if agg.P99Ms.Mean <= 0 || agg.EnergyJ.Mean <= 0 {
-		t.Fatalf("empty stats: %+v", agg)
-	}
-	// Different seeds must actually differ a little.
-	if agg.P99Ms.Stdev == 0 && agg.EnergyJ.Stdev == 0 {
-		t.Fatal("zero variance across seeds is implausible")
-	}
-}
-
-func TestStatOf(t *testing.T) {
-	s := statOf([]float64{2, 4, 6})
-	if s.Mean != 4 || s.N != 3 {
-		t.Fatalf("stat = %+v", s)
-	}
-	if math.Abs(s.Stdev-2) > 1e-9 {
-		t.Fatalf("stdev = %f, want 2 (sample)", s.Stdev)
-	}
-	if z := statOf(nil); z.N != 0 || z.Mean != 0 {
-		t.Fatalf("empty stat = %+v", z)
-	}
-}
-
-func TestRelativeEnergy(t *testing.T) {
-	a := SeededResult{EnergyJ: Stat{Mean: 50, Stdev: 1, N: 3}}
-	b := SeededResult{EnergyJ: Stat{Mean: 100, Stdev: 2, N: 3}}
-	r := RelativeEnergy(a, b)
-	if math.Abs(r.Mean-0.5) > 1e-9 {
-		t.Fatalf("ratio = %f", r.Mean)
-	}
-	if r.Stdev <= 0 || r.Stdev > 0.05 {
-		t.Fatalf("propagated stdev = %f", r.Stdev)
-	}
-	if z := RelativeEnergy(a, SeededResult{}); z.Mean != 0 {
-		t.Fatal("zero denominator must yield zero stat")
-	}
-}
-
 func TestRecordRoundTrip(t *testing.T) {
+	t.Parallel()
 	spec := quickSpec("nmap")
-	res, err := Run(spec)
+	res, err := new(Harness).Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +32,8 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, []Record{rec}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
+	var back []Record
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != 1 {
@@ -91,7 +46,8 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestSchedutilPolicyBuilds(t *testing.T) {
-	res, err := Run(quickSpec("schedutil"))
+	t.Parallel()
+	res, err := new(Harness).Run(quickSpec("schedutil"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +57,10 @@ func TestSchedutilPolicyBuilds(t *testing.T) {
 }
 
 func TestExtensionPoliciesRun(t *testing.T) {
+	t.Parallel()
 	for _, pol := range []string{"nmap-online", "nmap-sleep"} {
 		spec := quickSpec(pol)
-		res, err := Run(spec)
+		res, err := new(Harness).Run(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -114,6 +71,7 @@ func TestExtensionPoliciesRun(t *testing.T) {
 }
 
 func TestFlowsOverrideChangesBalance(t *testing.T) {
+	t.Parallel()
 	run := func(flows int) (minDone, maxDone uint64) {
 		cfg := server.Config{
 			Seed: 5, Profile: workload.Memcached(), Level: workload.Medium,
@@ -148,7 +106,8 @@ func TestFlowsOverrideChangesBalance(t *testing.T) {
 }
 
 func TestPegasusPolicyBuilds(t *testing.T) {
-	res, err := Run(quickSpec("pegasus"))
+	t.Parallel()
+	res, err := new(Harness).Run(quickSpec("pegasus"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +117,7 @@ func TestPegasusPolicyBuilds(t *testing.T) {
 }
 
 func TestMicroServiceProfile(t *testing.T) {
+	t.Parallel()
 	p := MicroService()
 	if p.SLO != 90*sim.Microsecond {
 		t.Fatalf("usvc SLO = %v", p.SLO)
@@ -176,7 +136,8 @@ func TestAblationMicroSLOShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	cells, err := AblationMicroSLO(Quick)
+	t.Parallel()
+	cells, err := new(Harness).AblationMicroSLO(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

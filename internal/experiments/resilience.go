@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"fmt"
 	"sort"
 	"strings"
@@ -68,7 +70,7 @@ const resilienceShedMultiple = 4
 // mid-run, recovers it after a quarter of the measurement window, and
 // plots P99 plus shed rate through the timeline — once with the
 // admission controller off and once shedding at 4x the SLO.
-func FigResilience(q Quality) (ResilienceFigure, error) {
+func (h *Harness) FigResilience(q Quality) (ResilienceFigure, error) {
 	prof := workload.Memcached()
 	warm, dur := q.warmup(), q.duration()
 	crash := faults.CoreCrash{
@@ -86,7 +88,7 @@ func FigResilience(q Quality) (ResilienceFigure, error) {
 		BucketMs:    int(bucket / sim.Millisecond),
 	}
 	for _, shed := range []float64{0, resilienceShedMultiple} {
-		run, err := runResilience(q, prof, crash, bucket, shed)
+		run, err := h.runResilience(q, prof, crash, bucket, shed)
 		if err != nil {
 			return fig, err
 		}
@@ -97,7 +99,7 @@ func FigResilience(q Quality) (ResilienceFigure, error) {
 
 // runResilience executes one arm of the scenario, bucketing completions
 // by completion time and sampling the shed/offline counters on a ticker.
-func runResilience(q Quality, prof *workload.Profile, crash faults.CoreCrash,
+func (h *Harness) runResilience(q Quality, prof *workload.Profile, crash faults.CoreCrash,
 	bucket sim.Duration, shed float64) (ResilienceRun, error) {
 	spec := Spec{
 		Policy: "nmap",
@@ -118,7 +120,7 @@ func runResilience(q Quality, prof *workload.Profile, crash faults.CoreCrash,
 	}
 	run := ResilienceRun{Name: name, ShedSLOMultiple: shed}
 
-	s, err := Build(spec)
+	s, err := Build(h.spec(spec))
 	if err != nil {
 		return run, err
 	}
@@ -148,10 +150,8 @@ func runResilience(q Quality, prof *workload.Profile, crash faults.CoreCrash,
 			bi++
 		}
 	})
-	guardCell(nil, s)
-	res, err := s.Run()
+	res, err := h.run(context.Background(), s)
 	stop()
-	recordAudit(res.Audit)
 	if err != nil {
 		return run, err
 	}

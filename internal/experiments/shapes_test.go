@@ -16,7 +16,7 @@ import (
 
 func shapeRun(t *testing.T, prof *workload.Profile, lvl workload.Level, policy string) server.Result {
 	t.Helper()
-	res, err := Run(Spec{
+	res, err := new(Harness).Run(Spec{
 		Policy: policy,
 		Idle:   "menu",
 		Cfg: server.Config{
@@ -37,6 +37,7 @@ func TestShapeMemcachedHighLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow")
 	}
+	t.Parallel()
 	prof := workload.Memcached()
 	ondemand := shapeRun(t, prof, workload.High, "ondemand")
 	perf := shapeRun(t, prof, workload.High, "performance")
@@ -71,6 +72,7 @@ func TestShapeMemcachedLowLoadEnergy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow")
 	}
+	t.Parallel()
 	prof := workload.Memcached()
 	perf := shapeRun(t, prof, workload.Low, "performance")
 	nm := shapeRun(t, prof, workload.Low, "nmap")
@@ -88,6 +90,7 @@ func TestShapeNginxHighLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow")
 	}
+	t.Parallel()
 	prof := workload.Nginx()
 	ondemand := shapeRun(t, prof, workload.High, "ondemand")
 	ip := shapeRun(t, prof, workload.High, "intel_powersave")
@@ -114,9 +117,10 @@ func TestShapeSleepPoliciesEnergyOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow")
 	}
+	t.Parallel()
 	prof := workload.Memcached()
 	run := func(idle string) server.Result {
-		res, err := Run(Spec{
+		res, err := new(Harness).Run(Spec{
 			Policy: "performance",
 			Idle:   idle,
 			Cfg: server.Config{
@@ -153,6 +157,7 @@ func TestShapeNCAPComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow")
 	}
+	t.Parallel()
 	prof := workload.Memcached()
 	ncap := shapeRun(t, prof, workload.High, "ncap")
 	nm := shapeRun(t, prof, workload.High, "nmap")
@@ -174,7 +179,8 @@ func TestShapeSwitchingLoadNMAPvsParties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow")
 	}
-	res, err := Fig16(Quick)
+	t.Parallel()
+	res, err := new(Harness).Fig16(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +207,8 @@ func TestShapePerRequestDVFSPaysReTransitions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow")
 	}
-	cells, err := AblationPerRequest(Quick)
+	t.Parallel()
+	cells, err := new(Harness).AblationPerRequest(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +244,12 @@ func TestShapeIntelPowersaveWithDisablePegsP0(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests are slow")
 	}
+	t.Parallel()
 	// §6.2 footnote: with sleep states disabled, intel_powersave reads
 	// 100% CC0 residency and always runs at P0 — so it satisfies the
 	// SLO (at performance-level energy).
 	prof := workload.Memcached()
-	res, err := Run(Spec{
+	res, err := new(Harness).Run(Spec{
 		Policy: "intel_powersave",
 		Idle:   "disable",
 		Cfg: server.Config{

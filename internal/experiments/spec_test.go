@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"testing"
+	"time"
 
 	"nmapsim/internal/core"
 	"nmapsim/internal/server"
@@ -26,6 +27,7 @@ func quickSpec(policy string) Spec {
 }
 
 func TestBuildAllPolicies(t *testing.T) {
+	t.Parallel()
 	for _, pol := range PolicyNames {
 		s, err := Build(quickSpec(pol))
 		if err != nil {
@@ -38,6 +40,7 @@ func TestBuildAllPolicies(t *testing.T) {
 }
 
 func TestBuildRejectsUnknownNames(t *testing.T) {
+	t.Parallel()
 	if _, err := Build(Spec{Policy: "nope", Idle: "menu"}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
@@ -47,6 +50,7 @@ func TestBuildRejectsUnknownNames(t *testing.T) {
 }
 
 func TestNCAPSpecsForceChipWide(t *testing.T) {
+	t.Parallel()
 	for _, pol := range []string{"ncap", "ncap-menu"} {
 		s, err := Build(quickSpec(pol))
 		if err != nil {
@@ -63,7 +67,8 @@ func TestNCAPSpecsForceChipWide(t *testing.T) {
 }
 
 func TestRunProducesResults(t *testing.T) {
-	res, err := Run(quickSpec("ondemand"))
+	t.Parallel()
+	res, err := new(Harness).Run(quickSpec("ondemand"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +78,7 @@ func TestRunProducesResults(t *testing.T) {
 }
 
 func TestProfiledThresholdsCached(t *testing.T) {
+	t.Parallel()
 	a := ProfiledThresholds(workload.Memcached(), 777)
 	b := ProfiledThresholds(workload.Memcached(), 777)
 	if a != b {
@@ -86,8 +92,30 @@ func TestProfiledThresholdsCached(t *testing.T) {
 	}
 }
 
+// TestProfiledThresholdsUnguarded pins that the §4.2 profiling is a
+// pure function of (profile, seed): an NMAP cell that first triggers it
+// under a 1ms cell timeout must cache the same thresholds as an
+// untimed profiling of the same workload, not those of a run the
+// timeout cut short. The profile is renamed so this test, not another
+// one, fills its cache entry.
+func TestProfiledThresholdsUnguarded(t *testing.T) {
+	t.Parallel()
+	prof := workload.Memcached()
+	prof.Name = "memcached-unguarded-profiling"
+	spec := Spec{Policy: "nmap", Idle: "menu", Cfg: server.Config{
+		Seed: 42, Profile: prof, Level: workload.Low,
+		Warmup: 10 * sim.Millisecond, Duration: 20 * sim.Millisecond,
+	}}
+	(&Harness{CellTimeout: time.Millisecond}).Run(spec)
+	want := ProfiledThresholds(workload.Memcached(), 1002)
+	if got := ProfiledThresholds(prof, 1002); got != want {
+		t.Fatalf("thresholds %+v, want the unguarded %+v", got, want)
+	}
+}
+
 func TestTraceCapturesSeries(t *testing.T) {
-	tf, err := RunTrace(workload.Memcached(), workload.High, "ondemand", "menu",
+	t.Parallel()
+	tf, err := new(Harness).RunTrace(workload.Memcached(), workload.High, "ondemand", "menu",
 		100*sim.Millisecond, Quick)
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +136,7 @@ func TestTraceCapturesSeries(t *testing.T) {
 }
 
 func TestRenderersProduceOutput(t *testing.T) {
+	t.Parallel()
 	t1 := RenderTable1(Table1(50))
 	if len(t1) < 100 {
 		t.Fatal("table1 render too short")
@@ -119,6 +148,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 }
 
 func TestNCAPThresholdBetweenLowAndMediumPeaks(t *testing.T) {
+	t.Parallel()
 	for _, p := range workload.Profiles() {
 		th := ncapThreshold(p)
 		lowPeak := p.Burst.PeakRate(p.LowRPS)

@@ -117,7 +117,7 @@ func writeLines(path string, ls [][]byte) error {
 
 // --- Flaky and poison cells ----------------------------------------------
 
-// FailingCells builds a cell-fault hook for experiments.SetCellFault:
+// FailingCells builds a cell-fault hook for experiments.Harness.CellFault:
 // every cell matching match fails its first n attempts (n < 0: every
 // attempt — a poison cell). Attempt counting is per sweep invocation,
 // tracked by spec hash, so the injection is deterministic under any
@@ -132,7 +132,7 @@ func FailingCells(match func(experiments.Spec) bool, n int) func(experiments.Spe
 		if n < 0 {
 			return fmt.Errorf("harnesschaos: poison cell (attempt %d)", attempt)
 		}
-		key := experiments.SpecHash(spec)
+		key := new(experiments.Harness).SpecHash(spec)
 		mu.Lock()
 		defer mu.Unlock()
 		if fails[key] >= n {
